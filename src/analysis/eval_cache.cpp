@@ -1,6 +1,7 @@
 #include "analysis/eval_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -224,6 +225,70 @@ std::int64_t family_share(std::int64_t total, std::int64_t share) {
 }
 }  // namespace
 
+namespace {
+// Flights the calling thread leads, per memo family (EvalCache::Family).
+thread_local std::array<int, 3> t_flights_led{};
+}  // namespace
+
+EvalCache::Flight::Flight(Flight&& other) noexcept
+    : cache_(other.cache_), family_(other.family_), key_(other.key_) {
+  other.cache_ = nullptr;
+}
+
+EvalCache::Flight& EvalCache::Flight::operator=(Flight&& other) noexcept {
+  if (this != &other) {
+    release();
+    cache_ = other.cache_;
+    family_ = other.family_;
+    key_ = other.key_;
+    other.cache_ = nullptr;
+  }
+  return *this;
+}
+
+void EvalCache::Flight::release() {
+  if (cache_ == nullptr) return;
+  FlightShard& shard = cache_->flight_shard(key_);
+  {
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    shard.leading[family_].erase(key_);
+  }
+  shard.released.notify_all();
+  --t_flights_led[static_cast<std::size_t>(family_)];
+  cache_ = nullptr;
+}
+
+EvalCache::FlightShard& EvalCache::flight_shard(std::uint64_t key) const {
+  return flight_shards_[key % num_flight_shards_];
+}
+
+template <typename Probe>
+bool EvalCache::probe_single_flight(Family family, std::uint64_t key,
+                                    Flight* flight, const Probe& probe) const {
+  if (flight == nullptr) return probe();
+  flight->release();
+  bool may_wait = true;
+  for (int f = family; f < kNumFamilies; ++f) {
+    may_wait = may_wait && t_flights_led[static_cast<std::size_t>(f)] == 0;
+  }
+  FlightShard& shard = flight_shard(key);
+  std::unordered_set<std::uint64_t>& leading = shard.leading[family];
+  std::unique_lock<std::mutex> lock(shard.mu);
+  // The leader inserts before it releases, so a probe made after the wait,
+  // under the shard lock, sees its value unless the insert was refused.
+  if (may_wait) {
+    shard.released.wait(lock, [&] { return leading.count(key) == 0; });
+  }
+  if (probe()) return true;
+  if (leading.insert(key).second) {
+    flight->cache_ = this;
+    flight->family_ = family;
+    flight->key_ = key;
+    ++t_flights_led[static_cast<std::size_t>(family)];
+  }
+  return false;
+}
+
 EvalCache::EvalCache(std::size_t num_shards, std::int64_t byte_budget)
     : byte_budget_(byte_budget < 0 ? 0 : byte_budget),
       reports_(num_shards, family_share(byte_budget_, byte_budget_ / 2),
@@ -233,7 +298,9 @@ EvalCache::EvalCache(std::size_t num_shards, std::int64_t byte_budget)
       aux_(num_shards,
            family_share(byte_budget_, byte_budget_ - byte_budget_ / 2 -
                                           byte_budget_ * 3 / 8),
-           aux_cost) {}
+           aux_cost),
+      num_flight_shards_(std::max<std::size_t>(1, num_shards)),
+      flight_shards_(std::make_unique<FlightShard[]>(num_flight_shards_)) {}
 
 void EvalCache::record_hit(const char* counter) const {
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -262,10 +329,12 @@ void EvalCache::record_insert(const cache::InsertResult& result) const {
   }
 }
 
-bool EvalCache::lookup(std::uint64_t fingerprint,
-                       PerformanceReport* out) const {
+bool EvalCache::lookup(std::uint64_t fingerprint, PerformanceReport* out,
+                       Flight* flight) const {
   obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
-  if (reports_.lookup(fingerprint, out)) {
+  if (probe_single_flight(kReportFamily, fingerprint, flight, [&] {
+        return reports_.lookup(fingerprint, out);
+      })) {
     record_hit("analysis.eval_cache.hits");
     return true;
   }
@@ -279,9 +348,11 @@ void EvalCache::insert(std::uint64_t fingerprint,
 }
 
 bool EvalCache::lookup_eval(std::uint64_t pre_reorder_fingerprint,
-                            OrderedEval* out) const {
+                            OrderedEval* out, Flight* flight) const {
   obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
-  if (evals_.lookup(pre_reorder_fingerprint, out)) {
+  if (probe_single_flight(kEvalFamily, pre_reorder_fingerprint, flight, [&] {
+        return evals_.lookup(pre_reorder_fingerprint, out);
+      })) {
     record_hit("analysis.eval_cache.eval_hits");
     return true;
   }
@@ -294,10 +365,11 @@ void EvalCache::insert_eval(std::uint64_t pre_reorder_fingerprint,
   record_insert(evals_.insert(pre_reorder_fingerprint, eval));
 }
 
-bool EvalCache::lookup_aux(std::uint64_t key,
-                           std::vector<std::int64_t>* out) const {
+bool EvalCache::lookup_aux(std::uint64_t key, std::vector<std::int64_t>* out,
+                           Flight* flight) const {
   obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
-  if (aux_.lookup(key, out)) {
+  if (probe_single_flight(kAuxFamily, key, flight,
+                          [&] { return aux_.lookup(key, out); })) {
     record_hit("analysis.eval_cache.aux_hits");
     return true;
   }
@@ -314,7 +386,8 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
                                      tmg::CycleMeanSolver* solver) {
   const std::uint64_t fingerprint = system_fingerprint(sys);
   PerformanceReport report;
-  if (lookup(fingerprint, &report)) {
+  Flight flight;
+  if (lookup(fingerprint, &report, &flight)) {
 #ifndef NDEBUG
     // Sampled collision/staleness guard: every 16th hit re-runs the full
     // sequential analysis and insists on a bit-identical report.
@@ -358,6 +431,7 @@ std::vector<PerformanceReport> EvalCache::analyze_batch(
   // first call would (hit or miss); later duplicates defer to pass 3, which
   // copies the leader's report from out[] once it is computed.
   std::vector<std::uint64_t> fps(k);
+  std::vector<Flight> flights(k);  // released on return, after the inserts
   std::vector<char> resolved(k, 0);
   std::vector<std::size_t> misses;
   std::unordered_map<std::uint64_t, std::size_t> first_seen;
@@ -365,7 +439,7 @@ std::vector<PerformanceReport> EvalCache::analyze_batch(
   for (std::size_t i = 0; i < k; ++i) {
     fps[i] = system_fingerprint(*systems[i]);
     if (!first_seen.emplace(fps[i], i).second) continue;  // in-batch duplicate
-    if (lookup(fps[i], &out[i])) {
+    if (lookup(fps[i], &out[i], &flights[i])) {
       resolved[i] = 1;
 #ifndef NDEBUG
       if (verify_tick_.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {

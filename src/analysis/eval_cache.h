@@ -25,6 +25,12 @@
 // tracks the last ~10 seconds for the serving stats plane, where the
 // cumulative rate is dominated by history.
 //
+// Misses resolve single-flight when the caller passes a Flight to the
+// lookup (every memo site in analysis, comp and dse does): of the threads
+// that miss one key at the same time, one computes it and the others wait
+// for its insert and count as hits, so the miss count is the number of
+// distinct keys whatever the scheduling.
+//
 // Storage sits on cache::ClockCache (src/cache), which adds two properties
 // an unbounded memo lacks:
 //
@@ -41,9 +47,13 @@
 //     incompatible files cleanly (the cache simply starts cold).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/performance.h"
@@ -94,6 +104,41 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
+  /// Single-flight miss resolution for lookup / lookup_eval / lookup_aux.
+  /// A lookup given a Flight returns false for a key at most once while
+  /// other threads miss it too: the first misser leads (its Flight is armed;
+  /// it computes the value and inserts it), and concurrent lookups of the
+  /// key block until the leader's Flight is released, then re-probe and
+  /// count as hits. An armed Flight releases its key when destroyed or
+  /// release()d — after the insert, or on any early exit — so a waiter that
+  /// still finds nothing (insert refused by the budget, computation
+  /// abandoned) leads in turn. Release a Flight on the thread that armed it.
+  ///
+  /// Computing one family nests lookups of the next: an ordered eval
+  /// analyzes a report, and a partitioned report solves per-SCC aux
+  /// entries. A thread therefore waits for a key only while it leads no key
+  /// of that family or a deeper one; otherwise it misses and computes the
+  /// key itself. Every wait points to a strictly deeper family, so waits
+  /// cannot form a cycle.
+  class Flight {
+   public:
+    Flight() = default;
+    Flight(const Flight&) = delete;
+    Flight& operator=(const Flight&) = delete;
+    Flight(Flight&& other) noexcept;
+    Flight& operator=(Flight&& other) noexcept;
+    ~Flight() { release(); }
+    /// Gives up the lead (no-op when not armed) and wakes the waiters.
+    void release();
+    bool armed() const { return cache_ != nullptr; }
+
+   private:
+    friend class EvalCache;
+    const EvalCache* cache_ = nullptr;
+    int family_ = 0;
+    std::uint64_t key_ = 0;
+  };
+
   /// Memoized analysis::analyze_system: returns the cached report when the
   /// fingerprint of `sys` was seen before, computes and stores it otherwise.
   /// Thread-safe; results are bit-identical to the uncached path.
@@ -119,8 +164,10 @@ class EvalCache {
       tmg::CycleMeanSolver* solver);
 
   /// Direct probe (no computation). Returns true and fills *out on a hit.
-  /// Counts toward the hit/miss statistics.
-  bool lookup(std::uint64_t fingerprint, PerformanceReport* out) const;
+  /// Counts toward the hit/miss statistics. With a Flight the miss is
+  /// single-flight (see Flight).
+  bool lookup(std::uint64_t fingerprint, PerformanceReport* out,
+              Flight* flight = nullptr) const;
 
   /// Stores a report under a fingerprint (first write wins).
   void insert(std::uint64_t fingerprint, const PerformanceReport& report);
@@ -128,8 +175,8 @@ class EvalCache {
   /// Ordered-evaluation memo (see OrderedEval). Counts into the same
   /// hit/miss statistics; obs counters analysis.eval_cache.eval_hits /
   /// .eval_misses split it out.
-  bool lookup_eval(std::uint64_t pre_reorder_fingerprint,
-                   OrderedEval* out) const;
+  bool lookup_eval(std::uint64_t pre_reorder_fingerprint, OrderedEval* out,
+                   Flight* flight = nullptr) const;
   void insert_eval(std::uint64_t pre_reorder_fingerprint,
                    const OrderedEval& eval);
 
@@ -137,7 +184,8 @@ class EvalCache {
   /// (the DSE selection ILPs memoize through this). The caller owns the key
   /// derivation — the key must cover everything the solver reads — and the
   /// payload encoding; the cache only provides sharded, counted storage.
-  bool lookup_aux(std::uint64_t key, std::vector<std::int64_t>* out) const;
+  bool lookup_aux(std::uint64_t key, std::vector<std::int64_t>* out,
+                  Flight* flight = nullptr) const;
   void insert_aux(std::uint64_t key, const std::vector<std::int64_t>& payload);
 
   /// Drops every entry; statistics are kept.
@@ -212,6 +260,24 @@ class EvalCache {
   double window_hit_rate() const;
 
  private:
+  // Memo families in nesting order (see Flight): computing one looks up
+  // only deeper ones.
+  enum Family : int { kEvalFamily = 0, kReportFamily = 1, kAuxFamily = 2 };
+  static constexpr int kNumFamilies = 3;
+
+  // Keys being computed by a leader, sharded like the memo itself.
+  struct FlightShard {
+    std::mutex mu;
+    std::condition_variable released;
+    std::unordered_set<std::uint64_t> leading[kNumFamilies];
+  };
+  FlightShard& flight_shard(std::uint64_t key) const;
+  // One counted probe of `family`, resolved single-flight when `flight` is
+  // non-null: waits out another thread's lead, and arms `flight` on a miss.
+  template <typename Probe>
+  bool probe_single_flight(Family family, std::uint64_t key, Flight* flight,
+                           const Probe& probe) const;
+
   void record_hit(const char* counter) const;
   void record_miss(const char* counter) const;
   void record_insert(const cache::InsertResult& result) const;
@@ -227,6 +293,8 @@ class EvalCache {
   mutable obs::WindowRate window_hits_;
   mutable obs::WindowRate window_misses_;
   std::atomic<std::uint64_t> verify_tick_{0};  // debug-only sampling cursor
+  std::size_t num_flight_shards_ = 1;
+  std::unique_ptr<FlightShard[]> flight_shards_;
 };
 
 }  // namespace ermes::analysis

@@ -159,10 +159,11 @@ tmg::CycleRatioResult solve_scc(const tmg::RatioGraph& rg,
   const std::vector<NodeId>& members =
       sccs.members[static_cast<std::size_t>(comp_id)];
   std::uint64_t key = 0;
+  analysis::EvalCache::Flight flight;
   if (cache != nullptr) {
     key = scc_fingerprint(rg, sccs.component, comp_id, members);
     std::vector<std::int64_t> payload;
-    if (cache->lookup_aux(key, &payload)) {
+    if (cache->lookup_aux(key, &payload, &flight)) {
       tmg::CycleRatioResult out;
       if (decode_scc_result(payload, &out)) {
 #ifndef NDEBUG
@@ -201,10 +202,11 @@ tmg::CycleRatioResult solve_scc(const tmg::CycleMeanSolver& solver,
   if (slot >= solver.num_workspaces()) slot = 0;
   tmg::HowardWorkspace& ws = solver.workspace(slot);
   std::uint64_t key = 0;
+  analysis::EvalCache::Flight flight;
   if (cache != nullptr) {
     key = scc_fingerprint(solver.csr(), sccs.component, comp_id, members);
     std::vector<std::int64_t> payload;
-    if (cache->lookup_aux(key, &payload)) {
+    if (cache->lookup_aux(key, &payload, &flight)) {
       tmg::CycleRatioResult out;
       if (decode_scc_result(payload, &out)) {
 #ifndef NDEBUG
@@ -379,7 +381,8 @@ PerformanceReport analyze_cached(const sysmodel::SystemModel& sys,
                                  tmg::CycleMeanSolver* solver) {
   const std::uint64_t fp = analysis::system_fingerprint(sys);
   PerformanceReport report;
-  if (cache.lookup(fp, &report)) {
+  analysis::EvalCache::Flight flight;
+  if (cache.lookup(fp, &report, &flight)) {
 #ifndef NDEBUG
     if (g_verify_tick.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
       assert(reports_bit_identical(report, analysis::analyze_system(sys)) &&

@@ -124,7 +124,8 @@ PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
   }
   const std::uint64_t pre_fp = analysis::system_fingerprint(sys);
   analysis::OrderedEval memo;
-  if (cache.lookup_eval(pre_fp, &memo)) {
+  EvalCache::Flight flight;
+  if (cache.lookup_eval(pre_fp, &memo, &flight)) {
     for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
       sys.set_input_order(p, memo.input_orders[p]);
       sys.set_output_order(p, memo.output_orders[p]);
@@ -183,6 +184,7 @@ void evaluate_candidates_batched(const SystemModel& sys,
                                  std::vector<Evaluated>& out) {
   const std::size_t k = selections.size();
   std::vector<std::uint64_t> pre_fps(k, 0);
+  std::vector<EvalCache::Flight> flights(k);  // released after the inserts
   std::vector<std::size_t> pending;
   pending.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -195,7 +197,7 @@ void evaluate_candidates_batched(const SystemModel& sys,
     }
     pre_fps[i] = analysis::system_fingerprint(out[i].system);
     analysis::OrderedEval memo;
-    if (ctx.cache->lookup_eval(pre_fps[i], &memo)) {
+    if (ctx.cache->lookup_eval(pre_fps[i], &memo, &flights[i])) {
       for (sysmodel::ProcessId p = 0; p < out[i].system.num_processes(); ++p) {
         out[i].system.set_input_order(p, memo.input_orders[p]);
         out[i].system.set_output_order(p, memo.output_orders[p]);
@@ -329,7 +331,8 @@ TimingOptResult memoized_timing_opt(
        (policy.allow_critical_slowdown ? 0x2uLL : 0uLL) |
            (policy.pin_non_critical ? 0x4uLL : 0uLL)});
   std::vector<std::int64_t> payload;
-  if (ctx.cache->lookup_aux(key, &payload)) {
+  EvalCache::Flight flight;
+  if (ctx.cache->lookup_aux(key, &payload, &flight)) {
     TimingOptResult result;
     result.feasible = payload[0] != 0;
     result.latency_gain = payload[1];
@@ -366,7 +369,8 @@ AreaRecoveryResult memoized_area_recovery(
                     {static_cast<std::uint64_t>(slack),
                      static_cast<std::uint64_t>(ring_cap)});
   std::vector<std::int64_t> payload;
-  if (ctx.cache->lookup_aux(key, &payload)) {
+  EvalCache::Flight flight;
+  if (ctx.cache->lookup_aux(key, &payload, &flight)) {
     AreaRecoveryResult result;
     result.feasible = payload[0] != 0;
     result.area_gain = bits_to_double(payload[1]);

@@ -116,7 +116,7 @@ struct BrokerOptions {
   /// cache starts cold), written by save_cache() — which the server calls
   /// on clean shutdown — and by the v2 `cache_save` op. Empty = no
   /// persistence.
-  std::string cache_file;
+  std::string cache_file = {};
   /// Background snapshot interval (`ermes serve --cache-save-secs`): when
   /// > 0 and cache_file is set, a saver thread writes the snapshot every N
   /// seconds through the same atomic tmp+rename writer — skipping intervals

@@ -1,11 +1,9 @@
-#include "ilp/branch_and_bound.h"
+#include "ilp_reference/branch_and_bound.h"
 
 #include <cmath>
 #include <vector>
 
-#include "ilp/simplex.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
+#include "ilp_reference/simplex.h"
 
 namespace ermes::ilp {
 
@@ -19,8 +17,6 @@ struct Node {
 }  // namespace
 
 Solution solve_ilp(const Model& model, const BnbOptions& options) {
-  obs::ObsSpan span("ilp.solve", "ilp");
-  obs::count("ilp.solves");
   const auto n = static_cast<std::size_t>(model.num_vars());
   Node root;
   root.lo.resize(n);
@@ -50,7 +46,6 @@ Solution solve_ilp(const Model& model, const BnbOptions& options) {
     if (relax.status == SolveStatus::kUnbounded) {
       // An unbounded relaxation of a node with finite integer bounds means
       // continuous unboundedness: propagate.
-      obs::count("ilp.bnb_nodes", nodes);
       return Solution{SolveStatus::kUnbounded, 0.0, {}};
     }
     if (relax.status != SolveStatus::kOptimal) continue;
@@ -111,8 +106,6 @@ Solution solve_ilp(const Model& model, const BnbOptions& options) {
     }
   }
 
-  obs::count("ilp.bnb_nodes", nodes);
-  obs::observe("ilp.bnb_nodes_per_solve", nodes);
   if (hit_limit && best.status == SolveStatus::kOptimal) {
     best.status = SolveStatus::kLimit;
   }

@@ -5,7 +5,7 @@
 // nodes are pruned when the LP bound cannot beat the incumbent. Exact for
 // the small multiple-choice problems of the DSE methodology.
 
-#include "ilp/model.h"
+#include "ilp_reference/model.h"
 
 namespace ermes::ilp {
 

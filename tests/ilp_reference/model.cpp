@@ -1,4 +1,4 @@
-#include "ilp/model.h"
+#include "ilp_reference/model.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,12 +1,11 @@
 #pragma once
-// Small (I)LP modeling API — ERMES' stand-in for GLPK.
+// Small (I)LP modeling API: a test-only reference solver.
 //
-// The paper formulates area recovery and timing optimization as ILPs solved
-// with GLPK. This module provides the modeling surface (variables, linear
-// constraints, objective) backed by a dense two-phase simplex (simplex.h)
-// and a 0/1 branch-and-bound (branch_and_bound.h). Problem sizes in the
-// methodology are small (one binary per (process, implementation) pair), so
-// a dense exact solver is entirely adequate.
+// The paper solves area recovery and timing optimization with GLPK. ERMES
+// solves them with the dedicated MCKP solver in src/ilp/mckp.h; this
+// general model, backed by a dense two-phase simplex (simplex.h) and a 0/1
+// branch-and-bound (branch_and_bound.h), is kept under tests/ as an
+// independent oracle for it (tests/test_ilp.cpp). It publishes no metrics.
 
 #include <cstdint>
 #include <limits>

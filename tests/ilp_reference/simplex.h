@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "ilp/model.h"
+#include "ilp_reference/model.h"
 
 namespace ermes::ilp {
 

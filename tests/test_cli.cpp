@@ -10,12 +10,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "golden.h"
 #include "io/soc_format.h"
 #include "sysmodel/builder.h"
 
@@ -191,6 +193,34 @@ TEST(CliExitCodes, UnmetTargetIsAnalysisFailure) {
   expect_error_line(result);
   EXPECT_NE(result.out.find("target NOT met"), std::string::npos)
       << result.out;
+}
+
+// `ermes dse` text pinned byte for byte. The mpeg2 targets are 0.5, 0.556,
+// 0.8, 1.112, 1.6 and 2.0 x its initial cycle time (2921924), so both
+// timing optimization and area recovery select implementations; the
+// motivating example has no alternatives and pins the no-ILP path.
+TEST(CliGolden, DseTrajectories) {
+  struct Case {
+    const char* model;
+    std::int64_t tct;
+  };
+  const Case cases[] = {
+      {"mpeg2_encoder", 1460962}, {"mpeg2_encoder", 1624589},
+      {"mpeg2_encoder", 2337539}, {"mpeg2_encoder", 3249179},
+      {"mpeg2_encoder", 4675078}, {"mpeg2_encoder", 5843848},
+      {"motivating", 8},          {"motivating", 12},
+      {"motivating", 16},
+  };
+  for (const Case& c : cases) {
+    const std::string tct = std::to_string(c.tct);
+    SCOPED_TRACE(std::string(c.model) + " " + tct);
+    const RunResult result = run_cli("dse " + std::string(ERMES_EXAMPLES_DIR) +
+                                     "/" + c.model + ".soc " + tct);
+    const bool met = result.out.find("target met\n") != std::string::npos;
+    EXPECT_EQ(result.exit_code, met ? 0 : 4);
+    ermes::testing::expect_matches_golden(
+        "cli/dse_" + std::string(c.model) + "_" + tct + ".txt", result.out);
+  }
 }
 
 TEST(CliExitCodes, RequestWithoutEndpointIsUsage) {

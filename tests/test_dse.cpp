@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "analysis/performance.h"
 #include "apps/mpeg2/characterization.h"
 #include "dse/area_recovery.h"
 #include "dse/explorer.h"
 #include "dse/selection.h"
 #include "dse/timing_opt.h"
+#include "golden.h"
+#include "io/soc_format.h"
 #include "sysmodel/system.h"
 
 namespace ermes::dse {
@@ -289,6 +294,61 @@ TEST(DualExplorerTest, Mpeg2UnderBudget) {
   EXPECT_TRUE(result.met_target);
   EXPECT_LT(result.history.back().cycle_time, ct0);
   EXPECT_LE(result.history.back().area, area0 * 1.15 + 1e-9);
+}
+
+// ---- golden trajectories ----------------------------------------------------
+//
+// Whole explorations on mpeg2_encoder.soc pinned at full precision together
+// with the final implementation selection, so a change in which optimum an
+// ILP returns shows even where the CLI's 4-digit area column would hide it.
+
+std::string golden_text(const ExplorationResult& result) {
+  std::string out;
+  char line[160];
+  for (const IterationRecord& rec : result.history) {
+    std::snprintf(line, sizeof line, "%d %s CT %.17g area %.17g meets %d\n",
+                  rec.iteration, to_string(rec.action), rec.cycle_time,
+                  rec.area, rec.meets_target ? 1 : 0);
+    out += line;
+  }
+  out += "met " + std::to_string(result.met_target ? 1 : 0) + " converged " +
+         std::to_string(result.converged ? 1 : 0) + "\nselection";
+  for (const std::size_t impl : current_selection(result.final_system)) {
+    out += " " + std::to_string(impl);
+  }
+  return out + "\n";
+}
+
+SystemModel load_mpeg2() {
+  const io::ParseResult parsed =
+      io::load_soc(std::string(ERMES_EXAMPLES_DIR) + "/mpeg2_encoder.soc");
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  return parsed.system;
+}
+
+TEST(GoldenDseTest, Mpeg2ExploreTrajectories) {
+  const SystemModel sys = load_mpeg2();
+  // 0.5, 0.556, 0.8, 1.112, 1.6 and 2.0 x the initial cycle time 2921924.
+  for (const std::int64_t tct :
+       {1460962, 1624589, 2337539, 3249179, 4675078, 5843848}) {
+    SCOPED_TRACE(tct);
+    ExplorerOptions options;
+    options.target_cycle_time = tct;
+    ermes::testing::expect_matches_golden(
+        "dse/mpeg2_explore_" + std::to_string(tct) + ".txt",
+        golden_text(explore(sys, options)));
+  }
+}
+
+// The dual explorer's area-budgeted timing optimization is the only caller
+// that hands the ILP real-valued (area) weights.
+TEST(GoldenDseTest, Mpeg2AreaConstrainedTrajectory) {
+  const SystemModel sys = load_mpeg2();
+  DualExplorerOptions options;
+  options.area_budget = sys.total_area() * 1.15;
+  ermes::testing::expect_matches_golden(
+      "dse/mpeg2_area_constrained_1.15.txt",
+      golden_text(explore_area_constrained(sys, options)));
 }
 
 }  // namespace

@@ -361,6 +361,146 @@ TEST(EvalCache, ConcurrentAnalyzeIsRaceFreeAndConsistent) {
             static_cast<std::int64_t>(kTasks));
 }
 
+// ---- single-flight misses -----------------------------------------------------
+//
+// CI runs this binary under TSan. N threads, released together, look up the
+// same K cold keys in different orders; each key must be computed exactly
+// once whatever the interleaving, and every other lookup served as a hit.
+// The sleep inside a computation only widens the race window; the
+// assertions do not depend on timing.
+
+constexpr int kFlightThreads = 8;
+constexpr int kFlightKeys = 4;
+
+// Runs body(thread, key) for every key on every thread, all threads
+// starting together.
+template <typename Body>
+void race_on_keys(const Body& body) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFlightThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kFlightThreads) std::this_thread::yield();
+      for (int k = 0; k < kFlightKeys; ++k) body(t, (k + t) % kFlightKeys);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+void expect_one_miss_per_key(const analysis::EvalCache& cache) {
+  EXPECT_EQ(cache.misses(), kFlightKeys);
+  EXPECT_EQ(cache.hits(), kFlightThreads * kFlightKeys - kFlightKeys);
+}
+
+TEST(EvalCacheSingleFlight, ConcurrentReportMissesComputeEachKeyOnce) {
+  // Rings long enough that an analysis outlasts the threads' start skew.
+  std::vector<sysmodel::SystemModel> systems;
+  for (int k = 0; k < kFlightKeys; ++k) {
+    sysmodel::SystemModel sys;
+    constexpr int kLength = 1000;
+    for (int p = 0; p < kLength; ++p) {
+      sys.add_process("p" + std::to_string(p), 1 + (p + k) % 7);
+    }
+    for (int p = 0; p < kLength; ++p) {
+      sys.add_channel("c" + std::to_string(p), p, (p + 1) % kLength, 1);
+    }
+    sys.set_primed(0, true);
+    systems.push_back(std::move(sys));
+  }
+  std::vector<double> expected;
+  for (const auto& sys : systems) {
+    expected.push_back(analysis::analyze_system(sys).cycle_time);
+  }
+  analysis::EvalCache cache;
+  std::atomic<int> wrong{0};
+  race_on_keys([&](int, int k) {
+    if (cache.analyze(systems[k]).cycle_time != expected[k]) {
+      wrong.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  expect_one_miss_per_key(cache);
+}
+
+TEST(EvalCacheSingleFlight, ConcurrentEvalMissesComputeEachKeyOnce) {
+  analysis::EvalCache cache;
+  std::atomic<int> computed{0}, wrong{0};
+  race_on_keys([&](int, int k) {
+    const auto key = static_cast<std::uint64_t>(1000 + k);
+    analysis::OrderedEval eval;
+    analysis::EvalCache::Flight flight;
+    if (!cache.lookup_eval(key, &eval, &flight)) {
+      computed.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      eval.input_orders = {{k}};
+      cache.insert_eval(key, eval);
+    }
+    if (eval.input_orders != std::vector<std::vector<std::int32_t>>{{k}}) {
+      wrong.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(computed.load(), kFlightKeys);
+  EXPECT_EQ(wrong.load(), 0);
+  expect_one_miss_per_key(cache);
+}
+
+TEST(EvalCacheSingleFlight, ConcurrentAuxMissesComputeEachKeyOnce) {
+  analysis::EvalCache cache;
+  std::atomic<int> computed{0}, wrong{0};
+  race_on_keys([&](int, int k) {
+    const auto key = static_cast<std::uint64_t>(2000 + k);
+    std::vector<std::int64_t> payload;
+    analysis::EvalCache::Flight flight;
+    if (!cache.lookup_aux(key, &payload, &flight)) {
+      computed.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      payload = {k};
+      cache.insert_aux(key, payload);
+    }
+    if (payload != std::vector<std::int64_t>{k}) wrong.fetch_add(1);
+  });
+  EXPECT_EQ(computed.load(), kFlightKeys);
+  EXPECT_EQ(wrong.load(), 0);
+  expect_one_miss_per_key(cache);
+}
+
+TEST(EvalCacheSingleFlight, AbandonedLeadPassesToAWaiter) {
+  analysis::EvalCache cache;
+  constexpr std::uint64_t kKey = 77;
+  std::vector<std::int64_t> payload;
+  analysis::EvalCache::Flight lead;
+  ASSERT_FALSE(cache.lookup_aux(kKey, &payload, &lead));
+  ASSERT_TRUE(lead.armed());
+  bool second_led = false;
+  std::thread second([&] {
+    std::vector<std::int64_t> out;
+    analysis::EvalCache::Flight flight;
+    // Waits while `lead` is armed, then finds no value and leads itself.
+    if (!cache.lookup_aux(kKey, &out, &flight)) {
+      second_led = flight.armed();
+      cache.insert_aux(kKey, {1});
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  lead.release();  // gives up without inserting
+  second.join();
+  EXPECT_TRUE(second_led);
+  EXPECT_EQ(cache.misses(), 2);
+  ASSERT_TRUE(cache.lookup_aux(kKey, &payload));
+  EXPECT_EQ(payload, std::vector<std::int64_t>{1});
+}
+
+TEST(EvalCacheSingleFlight, LeaderRelookingItsOwnKeyDoesNotWait) {
+  analysis::EvalCache cache;
+  std::vector<std::int64_t> payload;
+  analysis::EvalCache::Flight first, again;
+  EXPECT_FALSE(cache.lookup_aux(5, &payload, &first));
+  EXPECT_FALSE(cache.lookup_aux(5, &payload, &again));  // would self-deadlock
+  EXPECT_TRUE(first.armed());
+  EXPECT_FALSE(again.armed());
+}
+
 // ---- submit(): fire-and-forget task queue ------------------------------------
 
 namespace {

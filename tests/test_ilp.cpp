@@ -1,15 +1,18 @@
-// Unit tests for the ILP substrate: simplex LP solving, 0/1 branch & bound,
-// multiple-choice knapsack (ILP path vs DP cross-check).
+// Tests for the ILP layer: the multiple-choice knapsack solver behind both
+// DSE selection problems, checked against three independent oracles
+// (canonical exhaustive enumeration, the integer-weight DP, and the general
+// simplex + 0/1 branch-and-bound kept under tests/ilp_reference), plus the
+// reference LP/ILP stack's own unit tests.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
-#include "ilp/branch_and_bound.h"
 #include "ilp/mckp.h"
-#include "ilp/model.h"
-#include "ilp/simplex.h"
+#include "ilp_reference/branch_and_bound.h"
+#include "ilp_reference/model.h"
+#include "ilp_reference/simplex.h"
 #include "util/rng.h"
 
 namespace ermes::ilp {
@@ -410,6 +413,255 @@ TEST(SimplexPropertyTest, RelaxationBoundsTheIlp) {
     ASSERT_TRUE(ilp.optimal());
     EXPECT_GE(lp.objective + 1e-7, ilp.objective) << "trial " << trial;
   }
+}
+
+// ---- MCKP differential tests ------------------------------------------------
+
+// The canonical optimum by enumeration: maximum value, then minimum weight,
+// then the lexicographically smallest choice vector. Totals are summed in
+// group order, as solve_mckp reports them.
+MckpSolution exhaustive_mckp(const MckpProblem& problem) {
+  MckpSolution best;
+  for (const auto& group : problem.groups) {
+    if (group.empty()) return best;
+  }
+  std::vector<std::size_t> choice(problem.groups.size(), 0);
+  while (true) {
+    double value = 0.0, weight = 0.0;
+    for (std::size_t g = 0; g < choice.size(); ++g) {
+      value += problem.groups[g][choice[g]].value;
+      weight += problem.groups[g][choice[g]].weight;
+    }
+    if (weight <= problem.capacity &&
+        (!best.feasible || value > best.value ||
+         (value == best.value &&
+          (weight < best.weight ||
+           (weight == best.weight && choice < best.choice))))) {
+      best = MckpSolution{true, value, weight, choice};
+    }
+    std::size_t g = choice.size();
+    while (g > 0 && ++choice[g - 1] == problem.groups[g - 1].size()) {
+      choice[--g] = 0;
+    }
+    if (g == 0) return best;
+  }
+}
+
+// The MCKP as a general 0/1 ILP on the reference simplex + branch-and-bound.
+Solution solve_as_ilp(const MckpProblem& problem) {
+  Model model;
+  LinearExpr objective, weight_row;
+  for (const auto& group : problem.groups) {
+    LinearExpr one_of;
+    for (const MckpItem& item : group) {
+      const VarId v = model.add_binary("x");
+      objective.push_back({v, item.value});
+      weight_row.push_back({v, item.weight});
+      one_of.push_back({v, 1.0});
+    }
+    model.add_constraint(std::move(one_of), Sense::kEq, 1.0);
+  }
+  model.add_constraint(std::move(weight_row), Sense::kLe, problem.capacity);
+  model.set_objective(std::move(objective), /*maximize=*/true);
+  return solve_ilp(model);
+}
+
+// Instance families. Every total the solver and the oracles compare is
+// exact in double precision (integers, or multiples of 2^-10), so the
+// canonical tie rule is checked with ==.
+enum class Family {
+  kSmallInt,       // small integer weights and values, many ties
+  kNegative,       // mostly negative weights: choices free capacity
+  kAreaValues,     // real-valued (dyadic) values, integer weights
+  kDuplicates,     // groups repeat items verbatim
+  kEqualWeights,   // some groups have one weight for all items
+  kHugeWeights,    // integer weights up to +-1e12, the parser's range
+  kAreaWeights,    // real-valued (dyadic) weights, as in the dual explorer
+};
+constexpr Family kFamilies[] = {
+    Family::kSmallInt,     Family::kNegative,    Family::kAreaValues,
+    Family::kDuplicates,   Family::kEqualWeights, Family::kHugeWeights,
+    Family::kAreaWeights,
+};
+
+bool has_integer_weights(Family family) {
+  return family != Family::kAreaWeights;
+}
+
+MckpProblem random_mckp(util::Rng& rng, Family family, int max_groups = 6,
+                        int max_items = 5) {
+  MckpProblem problem;
+  const auto groups = rng.uniform_int(1, max_groups);
+  double min_sum = 0.0, max_sum = 0.0;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    std::vector<MckpItem> group;
+    const auto items = rng.uniform_int(1, max_items);
+    const bool one_weight = family == Family::kEqualWeights && rng.flip();
+    for (std::int64_t i = 0; i < items; ++i) {
+      if (family == Family::kDuplicates && i > 0 && rng.flip(0.4)) {
+        group.push_back(group[rng.index(group.size())]);
+        continue;
+      }
+      MckpItem item;
+      switch (family) {
+        case Family::kNegative:
+          item.weight = static_cast<double>(rng.uniform_int(-20, 5));
+          item.value = static_cast<double>(rng.uniform_int(-5, 20));
+          break;
+        case Family::kAreaValues:
+          item.weight = static_cast<double>(rng.uniform_int(-8, 16));
+          item.value = static_cast<double>(rng.uniform_int(0, 4096)) / 1024.0;
+          break;
+        case Family::kHugeWeights:
+          item.weight = static_cast<double>(
+              rng.uniform_int(-1'000'000'000'000, 1'000'000'000'000));
+          item.value = static_cast<double>(rng.uniform_int(0, 50));
+          break;
+        case Family::kAreaWeights:
+          item.weight = -static_cast<double>(rng.uniform_int(0, 512)) / 256.0;
+          item.value = static_cast<double>(rng.uniform_int(0, 12));
+          break;
+        default:
+          item.weight = static_cast<double>(rng.uniform_int(-5, 10));
+          item.value = static_cast<double>(rng.uniform_int(0, 8));
+          break;
+      }
+      if (one_weight && i > 0) item.weight = group.front().weight;
+      group.push_back(item);
+    }
+    double lo = group.front().weight, hi = lo;
+    for (const MckpItem& item : group) {
+      lo = std::min(lo, item.weight);
+      hi = std::max(hi, item.weight);
+    }
+    min_sum += lo;
+    max_sum += hi;
+    problem.groups.push_back(std::move(group));
+  }
+  // From a little below the lightest choice (infeasible) to the heaviest
+  // (unconstrained), on the family's grid.
+  const double span = max_sum - min_sum;
+  const double unit = has_integer_weights(family) ? 1.0 : 1.0 / 256.0;
+  const double steps = std::floor((span * 1.125 + unit) / unit);
+  problem.capacity =
+      min_sum - std::floor(span / 8.0 / unit) * unit +
+      static_cast<double>(rng.uniform_int(0, static_cast<std::int64_t>(steps))) *
+          unit;
+  return problem;
+}
+
+TEST(MckpPropertyTest, MatchesCanonicalExhaustiveOracle) {
+  util::Rng rng(1201);
+  int feasible = 0, infeasible = 0;
+  for (const Family family : kFamilies) {
+    for (int trial = 0; trial < 1000; ++trial) {
+      const MckpProblem problem = random_mckp(rng, family);
+      const MckpSolution got = solve_mckp(problem);
+      const MckpSolution want = exhaustive_mckp(problem);
+      SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                   " trial " + std::to_string(trial));
+      ASSERT_EQ(got.feasible, want.feasible);
+      if (!want.feasible) {
+        ++infeasible;
+        continue;
+      }
+      ++feasible;
+      EXPECT_EQ(got.choice, want.choice);
+      EXPECT_EQ(got.value, want.value);
+      EXPECT_EQ(got.weight, want.weight);
+    }
+  }
+  // The corpus must exercise both outcomes.
+  EXPECT_GT(feasible, 4000);
+  EXPECT_GT(infeasible, 200);
+}
+
+TEST(MckpPropertyTest, MatchesDpOnIntegerWeights) {
+  util::Rng rng(1202);
+  for (const Family family : kFamilies) {
+    // The DP table spans the weight range: keep it small.
+    if (!has_integer_weights(family) || family == Family::kHugeWeights) {
+      continue;
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      const MckpProblem problem = random_mckp(rng, family, 8, 6);
+      const MckpSolution got = solve_mckp(problem);
+      const MckpSolution dp = solve_mckp_dp(problem);
+      SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                   " trial " + std::to_string(trial));
+      ASSERT_EQ(got.feasible, dp.feasible);
+      if (!dp.feasible) continue;
+      EXPECT_EQ(got.value, dp.value);
+      EXPECT_EQ(got.weight, dp.weight);
+    }
+  }
+}
+
+TEST(MckpPropertyTest, MatchesReferenceIlpValue) {
+  util::Rng rng(1203);
+  for (const Family family : kFamilies) {
+    if (family == Family::kHugeWeights) continue;  // beyond simplex tolerances
+    for (int trial = 0; trial < 40; ++trial) {
+      const MckpProblem problem = random_mckp(rng, family, 4, 4);
+      const MckpSolution got = solve_mckp(problem);
+      const Solution ilp = solve_as_ilp(problem);
+      SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                   " trial " + std::to_string(trial));
+      ASSERT_EQ(got.feasible, ilp.optimal());
+      if (got.feasible) {
+        EXPECT_NEAR(got.value, ilp.objective, 1e-6);
+      }
+    }
+  }
+}
+
+TEST(MckpPropertyTest, LpBoundDominatesOptimum) {
+  util::Rng rng(1204);
+  for (const Family family : kFamilies) {
+    for (int trial = 0; trial < 1000; ++trial) {
+      const MckpProblem problem = random_mckp(rng, family);
+      const MckpSolution want = exhaustive_mckp(problem);
+      const double bound = mckp_lp_bound(problem);
+      SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                   " trial " + std::to_string(trial));
+      if (!want.feasible) {
+        EXPECT_EQ(bound, -std::numeric_limits<double>::infinity());
+        continue;
+      }
+      EXPECT_GE(bound + 1e-9 * std::max(1.0, std::abs(want.value)),
+                want.value);
+    }
+  }
+}
+
+TEST(MckpTest, EmptyGroupIsInfeasible) {
+  MckpProblem problem;
+  problem.groups = {{{1.0, 0.0}}, {}};
+  problem.capacity = 10.0;
+  EXPECT_FALSE(solve_mckp(problem).feasible);
+}
+
+TEST(MckpTest, NoGroupsIsFeasibleAtNonNegativeCapacity) {
+  MckpProblem problem;
+  EXPECT_TRUE(solve_mckp(problem).feasible);
+  problem.capacity = -1.0;
+  EXPECT_FALSE(solve_mckp(problem).feasible);
+}
+
+TEST(MckpTest, TiesGoToLighterThenLexicographicallySmaller) {
+  MckpProblem problem;
+  // Value 5 is reachable as (0,1) weight 4, (1,0) weight 3 and (1,2)
+  // weight 3: the lighter pair wins, and of those the smaller vector.
+  problem.groups = {
+      {{0.0, 0.0}, {5.0, 3.0}},
+      {{5.0, 4.0}, {0.0, 0.0}, {0.0, 0.0}},
+  };
+  problem.capacity = 4.0;
+  const MckpSolution sol = solve_mckp(problem);
+  ASSERT_TRUE(sol.feasible);
+  EXPECT_EQ(sol.choice, (std::vector<std::size_t>{1, 1}));
+  EXPECT_EQ(sol.value, 5.0);
+  EXPECT_EQ(sol.weight, 3.0);
 }
 
 }  // namespace

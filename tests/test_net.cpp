@@ -320,7 +320,7 @@ TEST(EventServer, StopFdRequestsStop) {
 
 // Collects N async responses and blocks until all arrived.
 struct Collector {
-  explicit Collector(int expect) : expect_(expect), responses(expect) {}
+  explicit Collector(int expect) : responses(expect), expect_(expect) {}
 
   svc::Broker::DoneFn slot(int index) {
     return [this, index](std::string response) {
