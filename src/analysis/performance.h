@@ -43,13 +43,13 @@ struct PerformanceReport {
   std::vector<tmg::PlaceId> critical_places;
 };
 
-/// Analyzes a pre-built TMG.
+/// Analyzes a pre-built TMG through a one-shot CSR solver (see tmg/csr.h).
 PerformanceReport analyze(const SystemTmg& stmg);
 
-/// Same analysis through a caller-owned CSR solver (see tmg/csr.h): the
-/// solver's compiled structure and workspaces are reused across calls, so
-/// repeated analyses of the same topology with different latencies skip
-/// graph construction entirely. Results are bit-identical to analyze().
+/// Same analysis through a caller-owned CSR solver: the solver's compiled
+/// structure and workspaces are reused across calls, so repeated analyses
+/// of the same topology with different latencies skip graph construction
+/// entirely. analyze(stmg) is this overload with a fresh solver.
 PerformanceReport analyze(const SystemTmg& stmg, tmg::CycleMeanSolver& solver);
 
 /// Builds a live report from an already-computed max cycle ratio of

@@ -1,60 +1,26 @@
 #include "io/soc_hier.h"
 
-#include <cmath>
-#include <fstream>
+#include <functional>
 #include <set>
-#include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "comp/flatten.h"
+#include "io/soc_lexer.h"
 
 namespace ermes::io {
 
+using detail::Tokens;
+
 namespace {
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-// Same magnitude bound as the flat parser (see soc_format.cpp).
-constexpr std::int64_t kMaxMagnitude = 1'000'000'000'000;  // 1e12
-
-bool parse_i64(const std::string& token, std::int64_t& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoll(token, &pos);
-    return pos == token.size() && out <= kMaxMagnitude &&
-           out >= -kMaxMagnitude;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_f64(const std::string& token, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(token, &pos);
-    return pos == token.size() && std::isfinite(out) &&
-           std::fabs(out) <= 1e18;
-  } catch (...) {
-    return false;
-  }
-}
 
 // Declared names within one scope (checked at parse time; flatten re-checks
 // for programmatically built models).
 struct ScopeNames {
-  std::set<std::string> items;  // processes + instances share a namespace
-  std::set<std::string> channels;
-  std::set<std::string> ports;
+  std::set<std::string, std::less<>> items;  // processes + instances
+  std::set<std::string, std::less<>> channels;
+  std::set<std::string, std::less<>> ports;
 
   void clear() {
     items.clear();
@@ -85,18 +51,18 @@ struct HierParser {
     return false;
   }
 
-  bool check_declared_name(const std::string& name, const char* what) {
-    if (name.empty() || name.find('.') != std::string::npos) {
-      return fail(std::string("bad ") + what + " name '" + name +
+  bool check_declared_name(std::string_view name, const char* what) {
+    if (name.empty() || name.find('.') != std::string_view::npos) {
+      return fail(std::string("bad ") + what + " name '" + std::string(name) +
                   "' (declared names may not contain '.')");
     }
     return true;
   }
 
   // <endpoint> = <process> | <instance>.<port>
-  bool parse_endpoint(const std::string& token, comp::Endpoint& out) {
+  bool parse_endpoint(std::string_view token, comp::Endpoint& out) {
     const std::size_t dot = token.find('.');
-    if (dot == std::string::npos) {
+    if (dot == std::string_view::npos) {
       if (token.empty()) return fail("empty endpoint");
       out.instance.clear();
       out.name = token;
@@ -106,20 +72,20 @@ struct HierParser {
     out.name = token.substr(dot + 1);
     if (out.instance.empty() || out.name.empty() ||
         out.name.find('.') != std::string::npos) {
-      return fail("bad endpoint '" + token +
+      return fail("bad endpoint '" + std::string(token) +
                   "' (expected <process> or <instance>.<port>)");
     }
     return true;
   }
 
-  bool handle_subsystem(const std::vector<std::string>& t) {
+  bool handle_subsystem(const Tokens& t) {
     if (in_subsystem) {
       return fail("subsystem blocks do not nest (missing 'end'?)");
     }
     if (t.size() != 2) return fail("expected: subsystem <name>");
     if (!check_declared_name(t[1], "subsystem")) return false;
-    if (!def_set.insert(t[1]).second) {
-      return fail("duplicate subsystem " + t[1]);
+    if (!def_set.emplace(t[1]).second) {
+      return fail("duplicate subsystem " + std::string(t[1]));
     }
     result.hier.defs.emplace_back();
     result.hier.defs.back().name = t[1];
@@ -129,7 +95,7 @@ struct HierParser {
     return true;
   }
 
-  bool handle_end(const std::vector<std::string>& t) {
+  bool handle_end(const Tokens& t) {
     if (!in_subsystem) return fail("'end' outside a subsystem block");
     if (t.size() != 1) return fail("unexpected tokens after 'end'");
     cur = &result.hier.top;
@@ -137,7 +103,7 @@ struct HierParser {
     return true;
   }
 
-  bool handle_port(const std::vector<std::string>& t) {
+  bool handle_port(const Tokens& t) {
     if (!in_subsystem) {
       return fail("'port' is only valid inside a subsystem block");
     }
@@ -147,8 +113,8 @@ struct HierParser {
           "to an internal endpoint)");
     }
     if (!check_declared_name(t[2], "port")) return false;
-    if (!names().ports.insert(t[2]).second) {
-      return fail("duplicate port " + t[2]);
+    if (!names().ports.emplace(t[2]).second) {
+      return fail("duplicate port " + std::string(t[2]));
     }
     comp::PortDecl port;
     port.name = t[2];
@@ -158,24 +124,24 @@ struct HierParser {
     return true;
   }
 
-  bool handle_process(const std::vector<std::string>& t) {
+  bool handle_process(const Tokens& t) {
     if (t.size() < 4 || t[2] != "latency") {
       return fail("expected: process <name> latency <cycles> [area <mm2>] "
                   "[primed]");
     }
     if (!check_declared_name(t[1], "process")) return false;
-    if (!names().items.insert(t[1]).second) {
-      return fail("duplicate name " + t[1]);
+    if (!names().items.emplace(t[1]).second) {
+      return fail("duplicate name " + std::string(t[1]));
     }
     comp::ProcessDecl p;
     p.name = t[1];
-    if (!parse_i64(t[3], p.latency) || p.latency < 0) {
-      return fail("bad latency '" + t[3] + "'");
+    if (!detail::parse_i64(t[3], p.latency) || p.latency < 0) {
+      return fail("bad latency '" + std::string(t[3]) + "'");
     }
     std::size_t i = 4;
     while (i < t.size()) {
       if (t[i] == "area" && i + 1 < t.size()) {
-        if (!parse_f64(t[i + 1], p.area) || p.area < 0.0) {
+        if (!detail::parse_f64(t[i + 1], p.area) || p.area < 0.0) {
           return fail("bad area");
         }
         i += 2;
@@ -183,18 +149,18 @@ struct HierParser {
         p.primed = true;
         ++i;
       } else {
-        return fail("unexpected token '" + t[i] + "'");
+        return fail("unexpected token '" + std::string(t[i]) + "'");
       }
     }
     cur->add_process(std::move(p));
     return true;
   }
 
-  bool handle_instance(const std::vector<std::string>& t) {
+  bool handle_instance(const Tokens& t) {
     if (t.size() != 3) return fail("expected: instance <name> <subsystem>");
     if (!check_declared_name(t[1], "instance")) return false;
-    if (!names().items.insert(t[1]).second) {
-      return fail("duplicate name " + t[1]);
+    if (!names().items.emplace(t[1]).second) {
+      return fail("duplicate name " + std::string(t[1]));
     }
     // Forward references to subsystems are allowed; comp::flatten resolves
     // them (and rejects unknowns and cycles).
@@ -205,27 +171,27 @@ struct HierParser {
     return true;
   }
 
-  bool handle_channel(const std::vector<std::string>& t) {
+  bool handle_channel(const Tokens& t) {
     if (t.size() < 7 || t[3] != "->" || t[5] != "latency") {
       return fail("expected: channel <name> <from> -> <to> latency <cycles> "
                   "[capacity <slots>|unbounded]");
     }
     if (!check_declared_name(t[1], "channel")) return false;
-    if (!names().channels.insert(t[1]).second) {
-      return fail("duplicate channel " + t[1]);
+    if (!names().channels.emplace(t[1]).second) {
+      return fail("duplicate channel " + std::string(t[1]));
     }
     comp::ChannelDecl c;
     c.name = t[1];
     if (!parse_endpoint(t[2], c.from) || !parse_endpoint(t[4], c.to)) {
       return false;
     }
-    if (!parse_i64(t[6], c.latency) || c.latency < 0) {
+    if (!detail::parse_i64(t[6], c.latency) || c.latency < 0) {
       return fail("bad latency");
     }
     if (t.size() >= 9 && t[7] == "capacity") {
       if (t[8] == "unbounded") {
         c.capacity = sysmodel::kUnboundedCapacity;
-      } else if (!parse_i64(t[8], c.capacity) || c.capacity < 0) {
+      } else if (!detail::parse_i64(t[8], c.capacity) || c.capacity < 0) {
         return fail("bad capacity");
       }
       if (t.size() != 9) return fail("unexpected trailing tokens");
@@ -236,7 +202,7 @@ struct HierParser {
     return true;
   }
 
-  bool handle_impl(const std::vector<std::string>& t) {
+  bool handle_impl(const Tokens& t) {
     if (t.size() < 7 || t[3] != "latency" || t[5] != "area") {
       return fail(
           "expected: impl <process> <name> latency <cycles> area <mm2> "
@@ -245,10 +211,10 @@ struct HierParser {
     comp::ImplDecl row;
     row.process = t[1];
     row.impl.name = t[2];
-    if (!parse_i64(t[4], row.impl.latency) || row.impl.latency < 0) {
+    if (!detail::parse_i64(t[4], row.impl.latency) || row.impl.latency < 0) {
       return fail("bad latency");
     }
-    if (!parse_f64(t[6], row.impl.area) || row.impl.area < 0.0) {
+    if (!detail::parse_f64(t[6], row.impl.area) || row.impl.area < 0.0) {
       return fail("bad area");
     }
     row.selected = t.size() == 8 && t[7] == "selected";
@@ -262,33 +228,32 @@ struct HierParser {
     return true;
   }
 
-  bool handle_order(const std::vector<std::string>& t, bool gets) {
+  bool handle_order(const Tokens& t, bool gets) {
     if (t.size() < 2) return fail("expected: gets/puts <process> <channels>");
     if (names().items.count(t[1]) == 0) {
-      return fail("unknown process " + t[1]);
+      return fail("unknown process " + std::string(t[1]));
     }
     comp::OrderDecl order;
     order.process = t[1];
     order.gets = gets;
     for (std::size_t i = 2; i < t.size(); ++i) {
       if (names().channels.count(t[i]) == 0) {
-        return fail("unknown channel " + t[i]);
+        return fail("unknown channel " + std::string(t[i]));
       }
-      order.channels.push_back(t[i]);
+      order.channels.emplace_back(t[i]);
     }
     cur->orders.push_back(std::move(order));
     return true;
   }
 
-  HierParseResult run(const std::string& text) {
+  HierParseResult run(std::string_view text) {
     result.ok = true;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      ++line_no;
-      const std::vector<std::string> tokens = tokenize(line);
+    detail::SocLexer lexer(text);
+    while (lexer.next_line()) {
+      line_no = lexer.line_no();
+      const Tokens& tokens = lexer.tokens();
       if (tokens.empty()) continue;
-      const std::string& keyword = tokens[0];
+      const std::string_view keyword = tokens[0];
       bool ok = true;
       if (keyword == "system") {
         if (in_subsystem) {
@@ -317,7 +282,7 @@ struct HierParser {
       } else if (keyword == "puts") {
         ok = handle_order(tokens, false);
       } else {
-        ok = fail("unknown keyword '" + keyword + "'");
+        ok = fail("unknown keyword '" + std::string(keyword) + "'");
       }
       if (!ok) return std::move(result);
     }
@@ -350,15 +315,13 @@ HierParseResult parse_soc_hier(const std::string& text) {
 }
 
 HierParseResult load_soc_hier(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!detail::read_file(path, text)) {
     HierParseResult result;
     result.error = "cannot open " + path;
     return result;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_soc_hier(buffer.str());
+  return parse_soc_hier(text);
 }
 
 ParseResult parse_soc_flattened(const std::string& text) {
@@ -380,15 +343,13 @@ ParseResult parse_soc_flattened(const std::string& text) {
 }
 
 ParseResult load_soc_flattened(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!detail::read_file(path, text)) {
     ParseResult result;
     result.error = "cannot open " + path;
     return result;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_soc_flattened(buffer.str());
+  return parse_soc_flattened(text);
 }
 
 }  // namespace ermes::io
