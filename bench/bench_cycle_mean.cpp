@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/performance.h"
+#include "howard_reference/howard.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "ordering/channel_ordering.h"
@@ -23,7 +24,6 @@
 #include "synth/generator.h"
 #include "tmg/brute_force.h"
 #include "tmg/csr.h"
-#include "tmg/howard.h"
 #include "tmg/karp.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"

@@ -1,4 +1,5 @@
-// Solver-core benchmark: warm CSR re-solves vs the legacy cold path.
+// Solver-core benchmark: warm CSR re-solves vs a cold rebuild-per-step
+// path on the RatioGraph reference solver (tests/howard_reference).
 //
 // Workload: a random strongly connected TMG (a delay ring plus chords; the
 // ring-closing place and every chord carry a token, so no zero-token cycle
@@ -29,10 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "howard_reference/howard.h"
 #include "svc/json.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"

@@ -10,7 +10,6 @@
 #include "obs/request_context.h"
 #include "obs/span.h"
 #include "tmg/csr.h"
-#include "tmg/howard.h"
 #include "tmg/liveness.h"
 #include "util/build_info.h"
 #include "util/rng.h"
@@ -160,21 +159,6 @@ bool reports_bit_identical(const PerformanceReport& a,
          a.critical_processes == b.critical_processes &&
          a.critical_channels == b.critical_channels &&
          a.critical_places == b.critical_places;
-}
-
-// The analysis on the legacy solver (to_ratio_graph + max_cycle_ratio_howard):
-// an implementation independent of the CSR solver that analyze() runs on, so
-// the solver-path check below compares two solvers, not one with itself.
-PerformanceReport legacy_analysis(const sysmodel::SystemModel& sys) {
-  const SystemTmg stmg = build_tmg(sys);
-  const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-  if (!liveness.live) {
-    PerformanceReport report;
-    report.dead_cycle = liveness.dead_cycle;
-    return report;
-  }
-  return report_from_ratio(
-      stmg, tmg::max_cycle_ratio_howard(tmg::to_ratio_graph(stmg.graph)));
 }
 #endif
 
@@ -418,12 +402,13 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
   report = solver != nullptr ? analyze_system(sys, *solver)
                              : analyze_system(sys);
 #ifndef NDEBUG
-  // The CSR solver promises bit-identity with the legacy solver; sample it
-  // with the same cadence as hits.
+  // A warm solver promises bit-identity with a cold one (analyze_system
+  // without a solver compiles a fresh one); sample it with the same cadence
+  // as hits to catch stale warm state.
   if (solver != nullptr &&
       verify_tick_.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-    assert(reports_bit_identical(report, legacy_analysis(sys)) &&
-           "EvalCache: CSR solver report diverges from sequential analysis");
+    assert(reports_bit_identical(report, analyze_system(sys)) &&
+           "EvalCache: warm solver report diverges from a cold solve");
   }
 #endif
   insert(fingerprint, report);
@@ -436,10 +421,8 @@ std::vector<PerformanceReport> EvalCache::analyze_batch(
   const std::size_t k = systems.size();
   std::vector<PerformanceReport> out(k);
   if (k == 0) return out;
-  if (solver == nullptr) {
-    for (std::size_t i = 0; i < k; ++i) out[i] = analyze(*systems[i]);
-    return out;
-  }
+  tmg::CycleMeanSolver local_solver;
+  if (solver == nullptr) solver = &local_solver;
   obs::ObsSpan span("analysis.analyze_batch", "analysis");
 
   // Pass 1: fingerprint and probe every system once, in order. The first

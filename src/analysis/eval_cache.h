@@ -158,7 +158,7 @@ class EvalCache {
   /// cost one structure prepare plus one batched solve instead of k full
   /// prepare+solve round trips. Duplicate systems within the batch are
   /// computed once and served to the remainder as memo hits, exactly as the
-  /// serial loop would. A null solver falls back to serial analyze() calls.
+  /// serial loop would. A null solver means a solver local to the call.
   std::vector<PerformanceReport> analyze_batch(
       std::span<const sysmodel::SystemModel* const> systems,
       tmg::CycleMeanSolver* solver);

@@ -51,16 +51,14 @@ IncrementalAnalyzer::IncrementalAnalyzer(sysmodel::SystemModel sys,
 void IncrementalAnalyzer::rebuild() {
   obs::ObsSpan span("comp.incremental.rebuild", "comp");
   stmg_ = analysis::build_tmg(sys_);
-  rg_ = tmg::to_ratio_graph(stmg_.graph);
   const tmg::LivenessResult liveness = tmg::check_liveness(stmg_.graph);
   live_ = liveness.live;
   dead_cycle_ = liveness.dead_cycle;
-  sccs_ = graph::strongly_connected_components(rg_.g);
   // Warm when only weights changed since the last rebuild (e.g. a channel
   // retargeted and retargeted back); recompiles otherwise.
-  solver_.prepare(rg_,
+  solver_.prepare(stmg_.graph,
                   options_.pool != nullptr ? options_.pool->jobs() : 1);
-  const auto n = static_cast<std::size_t>(sccs_.num_components);
+  const auto n = static_cast<std::size_t>(solver_.sccs().num_components);
   res_.assign(n, tmg::CycleRatioResult{});
   dirty_.assign(n, 1);
   structure_dirty_ = false;
@@ -74,14 +72,18 @@ void IncrementalAnalyzer::apply_delay(tmg::TransitionId t,
   // everything from sys_; there is no derived state to patch.
   if (structure_dirty_) return;
   stmg_.graph.set_delay(t, delay);
-  const std::int32_t comp = sccs_.component[static_cast<std::size_t>(t)];
-  for (const graph::ArcId a : rg_.g.out_arcs(t)) {
-    rg_.weight[static_cast<std::size_t>(a)] = delay;
-    solver_.set_arc_weight(a, delay);  // keep the CSR mirror in lockstep
+  // Every out-arc of t carries t's delay (arc weight = producer delay).
+  const tmg::CsrGraph& csr = solver_.csr();
+  const std::vector<std::int32_t>& component = solver_.sccs().component;
+  const std::int32_t comp = component[static_cast<std::size_t>(t)];
+  const auto ti = static_cast<std::size_t>(t);
+  for (std::int32_t s = csr.row_ptr[ti]; s < csr.row_ptr[ti + 1]; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    solver_.set_arc_weight(csr.slot_arc[si], delay);
     // Only arcs internal to t's component can lie on a cycle through t.
-    const std::int32_t head_comp =
-        sccs_.component[static_cast<std::size_t>(rg_.g.head(a))];
-    if (head_comp == comp) dirty_[static_cast<std::size_t>(comp)] = 1;
+    if (component[static_cast<std::size_t>(csr.slot_head[si])] == comp) {
+      dirty_[static_cast<std::size_t>(comp)] = 1;
+    }
   }
 }
 
@@ -196,7 +198,7 @@ const PartitionedReport& IncrementalAnalyzer::analyze() {
   }
   dirty_.assign(dirty_.size(), 0);
 
-  report_ = assemble_partitioned(stmg_, sccs_, res_);
+  report_ = assemble_partitioned(stmg_, solver_.sccs(), res_);
   for (std::size_t i = 0; i < todo.size(); ++i) {
     report_.sccs[todo[i]].from_cache = hit[i] != 0;
     if (hit[i] != 0) {

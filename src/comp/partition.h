@@ -79,14 +79,14 @@ struct PartitionOptions {
   exec::ThreadPool* pool = nullptr;
   /// Memoize per-component solves through the aux memo when non-null.
   analysis::EvalCache* cache = nullptr;
-  /// Route per-component solves through a caller-owned CSR solver (see
-  /// tmg/csr.h) when non-null: the compiled structure, SCC partition, and
-  /// per-worker workspaces persist across calls, so repeated analyses of the
-  /// same topology skip ratio-graph construction and Tarjan entirely.
-  /// Results stay bit-identical. The solver must not be shared with a
-  /// concurrent analysis; its workspace bank is sized to the pool. When
-  /// `pool` is also set, call from a thread that is not a worker of some
-  /// other pool — the calling thread claims workspace slot 0.
+  /// Caller-owned CSR solver (see tmg/csr.h) for the per-component solves;
+  /// nullptr = a solver local to the call. A caller-owned solver keeps the
+  /// compiled structure, SCC partition, and per-worker workspaces across
+  /// calls, so repeated analyses of the same topology skip compilation and
+  /// Tarjan entirely. Results are bit-identical either way. The solver must
+  /// not be shared with a concurrent analysis; its workspace bank is sized
+  /// to the pool. When `pool` is set, call from a thread that is not a
+  /// worker of some other pool — the calling thread claims workspace slot 0.
   tmg::CycleMeanSolver* solver = nullptr;
 };
 
@@ -101,26 +101,20 @@ PartitionedReport analyze_partitioned(const sysmodel::SystemModel& sys,
 /// Memoized analysis::analyze_system routed through the partitioned engine:
 /// whole-report memo first (same key as EvalCache::analyze), then per-SCC
 /// memos on a miss. Results are bit-identical to cache.analyze(sys) — the
-/// two share report entries freely. Thread-safe.
-/// When `solver` is non-null, per-SCC misses solve through it (CSR path,
-/// same memo keys, bit-identical); see PartitionOptions::solver for the
-/// ownership and threading rules.
+/// two share report entries freely. Thread-safe with distinct solvers.
+/// Per-SCC misses solve through `solver` (nullptr = a solver local to the
+/// call); see PartitionOptions::solver for the ownership and threading
+/// rules.
 analysis::PerformanceReport analyze_cached(const sysmodel::SystemModel& sys,
                                            analysis::EvalCache& cache,
                                            tmg::CycleMeanSolver* solver = nullptr);
 
 /// Fingerprint of one component's solve inputs: member nodes and every
-/// internal arc's id, head, weight, and tokens (tag-separated from the other
-/// memo families). Two components with equal fingerprints have equal solves
-/// — including the critical-cycle arc ids, which are absolute.
-std::uint64_t scc_fingerprint(const tmg::RatioGraph& rg,
-                              const std::vector<std::int32_t>& component,
-                              std::int32_t comp_id,
-                              const std::vector<graph::NodeId>& members);
-
-/// CSR twin of scc_fingerprint: hashes the identical word sequence (CSR
-/// slots preserve out_arcs order), so memo entries written through either
-/// representation are interchangeable.
+/// internal arc's id, head, weight, and tokens, walked in CSR slot
+/// (== out-arc) order and tag-separated from the other memo families. Two
+/// components with equal fingerprints have equal solves — including the
+/// critical-cycle arc ids, which are absolute. These are the aux-memo and
+/// snapshot keys of per-SCC results.
 std::uint64_t scc_fingerprint(const tmg::CsrGraph& csr,
                               const std::vector<std::int32_t>& component,
                               std::int32_t comp_id,
@@ -133,18 +127,11 @@ std::vector<std::int64_t> encode_scc_result(const tmg::CycleRatioResult& r);
 bool decode_scc_result(const std::vector<std::int64_t>& payload,
                        tmg::CycleRatioResult* out);
 
-/// Solves one component, consulting and filling the cache's aux memo when
-/// `cache` is non-null. `*from_cache` (optional) reports a memo hit.
-tmg::CycleRatioResult solve_scc(const tmg::RatioGraph& rg,
-                                const graph::SccResult& sccs,
-                                std::int32_t comp_id,
-                                analysis::EvalCache* cache,
-                                bool* from_cache = nullptr);
-
-/// CSR-path twin of solve_scc: solves through the prepared solver using the
-/// calling thread's workspace slot (exec::current_worker_slot), sharing the
-/// same aux-memo keys. Safe to call concurrently for different components
-/// from distinct worker slots.
+/// Solves one component through the prepared solver on the calling
+/// thread's workspace slot (exec::current_worker_slot), consulting and
+/// filling the cache's aux memo when `cache` is non-null. `*from_cache`
+/// (optional) reports a memo hit. Safe to call concurrently for different
+/// components from distinct worker slots.
 tmg::CycleRatioResult solve_scc(const tmg::CycleMeanSolver& solver,
                                 std::int32_t comp_id,
                                 analysis::EvalCache* cache,

@@ -47,10 +47,12 @@ std::int64_t quantile_bucket_upper(int bucket) {
   const int e = kFirstExponent + b / kSubBuckets;
   const int sub = b % kSubBuckets;
   // Range [2^e + sub * 2^(e-7), 2^e + (sub+1) * 2^(e-7) - 1]; for the very
-  // last bucket (e = 62, sub = 127) this lands exactly on int64 max.
-  return (std::int64_t{1} << e) +
-         (static_cast<std::int64_t>(sub + 1) << (e - kQuantilePrecisionBits)) -
-         1;
+  // last bucket (e = 62, sub = 127) this lands exactly on int64 max. The
+  // sum reaches 2^63 before the final -1 there, so it is formed unsigned.
+  return static_cast<std::int64_t>(
+      (std::uint64_t{1} << e) +
+      (static_cast<std::uint64_t>(sub + 1) << (e - kQuantilePrecisionBits)) -
+      1);
 }
 
 // ---- QuantileSnapshot -------------------------------------------------------

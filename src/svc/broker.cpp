@@ -77,8 +77,8 @@ Broker::Broker(BrokerOptions options)
     : options_(std::move(options)),
       cache_(16, options_.cache_bytes),
       pool_(effective_workers(options_.workers) + 1) {
-  sweep_solvers_.resize(pool_.jobs());
-  for (auto& solver : sweep_solvers_) {
+  worker_solvers_.resize(pool_.jobs());
+  for (auto& solver : worker_solvers_) {
     solver = std::make_unique<tmg::CycleMeanSolver>();
   }
   if (!options_.cache_file.empty()) {
@@ -290,9 +290,7 @@ void Broker::drain_analyze_queue() {
       if (parsed[i].ok) systems.push_back(&parsed[i].system);
     }
     if (systems.size() > 1) {
-      std::size_t slot = exec::current_worker_slot();
-      if (slot >= sweep_solvers_.size()) slot = 0;
-      cache_.analyze_batch(systems, sweep_solvers_[slot].get());
+      cache_.analyze_batch(systems, worker_solver());
       batched_.fetch_add(static_cast<std::int64_t>(systems.size()),
                          std::memory_order_relaxed);
       obs::count("batched", static_cast<std::int64_t>(systems.size()));
@@ -688,6 +686,12 @@ void Broker::execute(const Request& request, bool has_deadline,
   done(std::move(response));
 }
 
+tmg::CycleMeanSolver* Broker::worker_solver() {
+  std::size_t slot = exec::current_worker_slot();
+  if (slot >= worker_solvers_.size()) slot = 0;
+  return worker_solvers_[slot].get();
+}
+
 JsonValue Broker::run_analyze(const Request& request, std::string* soc_error) {
   const io::ParseResult parsed = parse_model(request);
   if (!parsed.ok) {
@@ -695,7 +699,7 @@ JsonValue Broker::run_analyze(const Request& request, std::string* soc_error) {
     return JsonValue::null();
   }
   const analysis::PerformanceReport report =
-      comp::analyze_cached(parsed.system, cache_);
+      comp::analyze_cached(parsed.system, cache_, worker_solver());
   JsonValue result = JsonValue::object();
   result.set("live", JsonValue::boolean(report.live));
   result.set("cycle_time", JsonValue::number(report.cycle_time));
@@ -717,12 +721,13 @@ JsonValue Broker::run_order(const Request& request, std::string* soc_error) {
     *soc_error = parsed.error;
     return JsonValue::null();
   }
+  tmg::CycleMeanSolver* solver = worker_solver();
   const analysis::PerformanceReport before =
-      comp::analyze_cached(parsed.system, cache_);
+      comp::analyze_cached(parsed.system, cache_, solver);
   const sysmodel::SystemModel ordered =
       ordering::with_optimal_ordering(parsed.system);
   const analysis::PerformanceReport after =
-      comp::analyze_cached(ordered, cache_);
+      comp::analyze_cached(ordered, cache_, solver);
   JsonValue result = JsonValue::object();
   if (before.live) {
     result.set("cycle_time_before", JsonValue::number(before.cycle_time));
@@ -770,6 +775,7 @@ JsonValue Broker::run_explore(const Request& request,
   options.target_cycle_time = request.tct;
   options.jobs = 1;  // parallelism lives at the request level
   options.cache = &cache_;
+  options.solver = worker_solver();
   options.should_stop = should_stop;
   const dse::ExplorationResult result = dse::explore(parsed.system, options);
   if (result.cancelled) {
@@ -819,8 +825,7 @@ JsonValue Broker::run_sweep(const Request& request,
   // (adjacent targets reuse its compiled structure). Requests execute on
   // pool workers, so the slot solver is single-threaded by construction.
   // The deadline is polled between targets and inside each exploration.
-  std::size_t slot = exec::current_worker_slot();
-  if (slot >= sweep_solvers_.size()) slot = 0;
+  tmg::CycleMeanSolver* solver = worker_solver();
   std::vector<dse::ExplorationResult> results;
   results.reserve(targets.size());
   for (const std::int64_t tct : targets) {
@@ -828,7 +833,7 @@ JsonValue Broker::run_sweep(const Request& request,
     options.target_cycle_time = tct;
     options.jobs = 1;
     options.cache = &cache_;
-    options.solver = sweep_solvers_[slot].get();
+    options.solver = solver;
     options.should_stop = should_stop;
     results.push_back(dse::explore(parsed.system, options));
     if (results.back().cancelled) {

@@ -307,13 +307,15 @@ class Broker {
   analysis::EvalCache cache_;
   std::size_t cache_restored_ = 0;  // snapshot entries admitted at startup
 
-  // One warm CSR solver per pool slot. Sweep requests always execute on a
-  // pool worker (slots [1, jobs())); each target explored on that worker
-  // passes its slot's solver to dse::explore, so adjacent targets of a
-  // sweep — and sweeps across requests landing on the same worker — reuse a
-  // compiled structure and its batch staging. Slot ownership means no two
-  // threads ever share a solver, so none of them need locks.
-  std::vector<std::unique_ptr<tmg::CycleMeanSolver>> sweep_solvers_;
+  // One warm CSR solver per pool slot. Requests always execute on a pool
+  // worker (slots [1, jobs())), which passes its slot's solver to every
+  // analysis it runs: analyze/order cache misses, batched analyze misses,
+  // explorations and each target of a sweep. Requests landing on the same
+  // worker reuse a compiled structure and its batch staging. Slot ownership
+  // means no two threads ever share a solver, so none of them need locks.
+  std::vector<std::unique_ptr<tmg::CycleMeanSolver>> worker_solvers_;
+  /// The calling worker's solver (slot 0 for a thread outside the pool).
+  tmg::CycleMeanSolver* worker_solver();
 
   // One open incremental-analysis session (defined in broker.cpp). The map
   // holds shared_ptrs so a `close_session` racing an in-flight `patch` only

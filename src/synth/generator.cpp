@@ -31,12 +31,15 @@ sysmodel::SystemModel generate_soc(const GeneratorConfig& config) {
 
   const std::int32_t core_count = n_total - 2 - 2 * feedback;
   assert(core_count >= 1);
-  const std::int32_t layers =
+  // At most one layer per core process: an empty layer would leave the
+  // out-degree fix below nothing to pick from.
+  const std::int32_t layers = std::min(
+      core_count,
       config.num_layers > 0
-          ? std::min(config.num_layers, core_count)
+          ? config.num_layers
           : std::max<std::int32_t>(
                 2, static_cast<std::int32_t>(std::lround(
-                       std::sqrt(static_cast<double>(core_count)))));
+                       std::sqrt(static_cast<double>(core_count))))));
 
   auto proc_latency = [&] {
     return rng.uniform_int(config.min_process_latency,

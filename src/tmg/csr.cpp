@@ -1,12 +1,12 @@
 #include "tmg/csr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <limits>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "util/log.h"
 
@@ -63,13 +63,12 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 // Howard policy iteration on one strongly connected component of the CSR
-// view. A line-for-line port of howard.cpp's SccSolver: same member
-// iteration order, same slot (== out_arcs) order, same floating-point
-// expressions and 1e-9 epsilon — so given the same initial policy it follows
-// the identical trajectory and reports bit-identical results. The only
-// changes are representation (slots instead of ArcIds, workspace-owned
-// scratch instead of per-solve assigns) and the externally supplied seed
-// policy.
+// view: member iteration order, slot (== out_arcs) order, and the 1e-9
+// epsilon fix the trajectory, so given the same initial policy it reports
+// bit-identical results. The RatioGraph test reference evaluates the same
+// expressions in the same order on per-solve scratch; this one keeps its
+// scratch in a caller-owned workspace and accepts an externally supplied
+// seed policy.
 class CsrSccSolver {
  public:
   CsrSccSolver(const CsrGraph& csr, const std::vector<std::int32_t>& comp_of,
@@ -102,8 +101,8 @@ class CsrSccSolver {
       iterations_ = iter + 1;
       if (!evaluate()) {
         // Zero-token cycle: infinite ratio (deadlocked TMG). Unreachable
-        // after the compile-time zero-token screen, kept to mirror the
-        // legacy solver exactly.
+        // after the compile-time zero-token screen, kept to mirror the test
+        // reference exactly.
         out.has_cycle = true;
         out.ratio = std::numeric_limits<double>::infinity();
         out.ratio_num = best_w_;
@@ -291,7 +290,7 @@ class CsrSccSolver {
 
 // Port of cycle_ratio.cpp's find_zero_token_cycle onto the CSR view: same
 // root order (0..n-1), same out-arc (slot) order, so the reported witness is
-// the one the legacy global screen finds.
+// the one find_zero_token_cycle reports on the source RatioGraph.
 bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
   enum class Color : unsigned char { kWhite, kGray, kBlack };
   const auto n = static_cast<std::size_t>(csr.num_nodes);
@@ -350,8 +349,8 @@ bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
   return false;
 }
 
-// Port of howard.cpp's find_zero_token_cycle_in_scc onto the CSR view (same
-// member order, same slot order => same witness). `color`/`via` are shared
+// Finds a token-free cycle inside one component (iterative DFS over the
+// members in slot order, so the witness is deterministic). `color`/`via` are shared
 // across the per-component calls of one compile: each component's DFS only
 // touches its own members, so no reset is needed between calls.
 bool csr_zero_token_cycle_in_scc(const CsrGraph& csr,
@@ -410,7 +409,46 @@ bool csr_zero_token_cycle_in_scc(const CsrGraph& csr,
   return false;
 }
 
+std::atomic<int> g_iteration_cap_override{0};
+
 }  // namespace
+
+void set_howard_iteration_cap_for_testing(int cap) {
+  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
+}
+
+namespace detail {
+
+int howard_iteration_cap(std::size_t members) {
+  const int override_cap =
+      g_iteration_cap_override.load(std::memory_order_relaxed);
+  if (override_cap > 0) return override_cap;
+  return 64 + 2 * static_cast<int>(members);
+}
+
+// Publishes one solve's worth of telemetry in a single batch; the statics
+// cache the registry lookups (registrations are never erased, so the
+// references stay valid across Registry::reset()).
+void publish_howard_metrics(int iterations) {
+  static obs::Counter& solves =
+      obs::Registry::global().counter("howard.solves");
+  static obs::Counter& iters =
+      obs::Registry::global().counter("howard.iterations");
+  static obs::Histogram& per_solve =
+      obs::Registry::global().histogram("howard.iterations_per_solve");
+  solves.add(1);
+  iters.add(iterations);
+  per_solve.observe(iterations);
+}
+
+void note_iteration_cap_exhausted(int iterations, std::size_t members) {
+  ERMES_LOG(kWarn) << "Howard: iteration cap exhausted after " << iterations
+                   << " iterations on SCC of " << members
+                   << " nodes; result may be suboptimal";
+  if (obs::enabled()) obs::count("howard.cap_hits");
+}
+
+}  // namespace detail
 
 void CsrGraph::compile(const RatioGraph& rg) {
   num_nodes = rg.g.num_nodes();

@@ -2,11 +2,12 @@
 // Flat CSR solver core for the analysis hot path.
 //
 // Every throughput query in the methodology loop bottoms out in a maximum
-// cycle ratio solve, and the DSE/sweep/serve/incremental layers issue
-// thousands of them on graphs that differ only in arc weights. The legacy
-// path rebuilds a pointer-chasing Digraph (vector-of-vectors adjacency,
-// string names) and re-initializes all solver scratch per solve. This header
-// splits that cost by change frequency:
+// cycle ratio solve (Howard's policy iteration, Cochet-Terrasson et al.
+// 1998, the algorithm the paper adopts), and the DSE/sweep/serve/incremental
+// layers issue thousands of them on graphs that differ only in arc weights.
+// Rebuilding a pointer-chasing Digraph and re-initializing all solver
+// scratch per solve would dominate; this header splits that cost by change
+// frequency:
 //
 //  * CsrGraph — a flat, string-free snapshot of a RatioGraph: SoA arrays for
 //    arc tails/heads/tokens plus offset-indexed adjacency (row_ptr + slot
@@ -19,13 +20,15 @@
 //    warm-started re-solves.
 //
 // Determinism contract: `solve()` and `solve_component()` are bit-identical
-// to tmg::max_cycle_ratio_howard / max_cycle_ratio_howard_scc — same
-// ratio_num/ratio_den, same critical cycle under the existing tie-break, and
-// the same double `ratio` value. This holds because (a) CSR slots preserve
-// Digraph::out_arcs order exactly, (b) the canonical initial policy (first
-// internal out-arc per node) is structure-only, so warm solves start from
-// the same policy the cold path would, and (c) every floating-point
-// expression is evaluated in the same order with the same 1e-9 epsilon.
+// to the test reference (a rebuild-per-solve RatioGraph Howard kept with
+// the tests as an oracle) — same ratio_num/ratio_den, same critical cycle
+// under the existing tie-break, the same double `ratio` value and the same
+// iteration count — and every solve on a warm solver is bit-identical to a
+// cold one. This holds because (a) CSR slots preserve Digraph::out_arcs
+// order exactly, (b) the canonical initial policy (first internal out-arc
+// per node) is structure-only, so warm solves start from the same policy a
+// cold solve would, and (c) every floating-point expression is evaluated in
+// the same order with the same 1e-9 epsilon.
 // `solve_seeded()` trades the witness guarantee for speed: it seeds policy
 // iteration from the previous optimal policy, which converges to the *exact
 // same maximum ratio* (compare_ratios == 0) but may report a different
@@ -133,7 +136,7 @@ struct BatchSolveReport {
 /// Usage:
 ///   CycleMeanSolver solver;
 ///   solver.prepare(rg);        // compiles the CSR (cold) ...
-///   auto r0 = solver.solve();  // ... bit-identical to the legacy path
+///   auto r0 = solver.solve();  // ... from the canonical policy
 ///   solver.set_arc_weight(a, w);
 ///   auto r1 = solver.solve();  // weight-only re-solve: no construction
 ///
@@ -177,8 +180,9 @@ class CycleMeanSolver {
   bool prepare(const RatioGraph& rg, std::size_t workers = 1);
   bool prepare(const MarkedGraph& g, std::size_t workers = 1);
 
-  /// Whole-graph solve from the canonical initial policy; bit-identical to
-  /// max_cycle_ratio_howard on the prepared graph. Requires prepared().
+  /// Whole-graph solve from the canonical initial policy: a global
+  /// zero-token screen, then the fold (fold_cycle_ratio) of the per-SCC
+  /// solves in ascending component index. Requires prepared().
   CycleRatioResult solve();
 
   /// prepare + solve in one call.
@@ -208,8 +212,13 @@ class CycleMeanSolver {
   /// critical cycle, so it is opt-in rather than the default.
   CycleRatioResult solve_seeded();
 
-  /// One component's solve on caller-provided scratch; bit-identical to
-  /// max_cycle_ratio_howard_scc. Safe to call concurrently for different
+  /// One component's solve on caller-provided scratch: only arcs internal
+  /// to the component count, a token-free internal cycle gives an infinite
+  /// ratio, and a single-node component compares its self-loops exactly
+  /// (first wins on ties) without policy iteration. Folding these in
+  /// ascending component id reproduces solve() bit for bit unless the graph
+  /// has a zero-token cycle (solve() then reports the global screen's
+  /// witness). Safe to call concurrently for different
   /// (comp_id, ws) pairs. `capped`, when non-null, reports whether the
   /// defensive iteration cap was exhausted (result then reflects the last
   /// evaluated policy and may be suboptimal).
@@ -291,5 +300,20 @@ class CycleMeanSolver {
   std::vector<std::unique_ptr<HowardWorkspace>> workspaces_;
   Stats stats_;
 };
+
+/// Test-only override of the defensive policy-iteration cap. `cap` > 0
+/// replaces the default 64 + 2*|SCC| bound for every subsequent solve; 0
+/// restores the default.
+void set_howard_iteration_cap_for_testing(int cap);
+
+namespace detail {
+/// Effective cap for an SCC of `members` nodes (honors the test override).
+int howard_iteration_cap(std::size_t members);
+/// Publishes one solve's telemetry batch (howard.solves / iterations /
+/// iterations_per_solve).
+void publish_howard_metrics(int iterations);
+/// Logs the cap-exhaustion warning and bumps howard.cap_hits.
+void note_iteration_cap_exhausted(int iterations, std::size_t members);
+}  // namespace detail
 
 }  // namespace ermes::tmg

@@ -79,6 +79,16 @@ bool find_zero_token_cycle(const RatioGraph& rg,
   return false;
 }
 
+void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out) {
+  if (!scc.has_cycle) return;
+  if (out->is_infinite()) return;  // an earlier deadlock dominates
+  if (!out->has_cycle || scc.is_infinite() ||
+      compare_ratios(scc.ratio_num, scc.ratio_den, out->ratio_num,
+                     out->ratio_den) > 0) {
+    *out = scc;
+  }
+}
+
 int compare_ratios(std::int64_t a_num, std::int64_t a_den, std::int64_t b_num,
                    std::int64_t b_den) {
   assert(a_den >= 0 && b_den >= 0);

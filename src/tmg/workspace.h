@@ -1,8 +1,8 @@
 #pragma once
 // Caller-owned scratch memory for the CSR Howard solver (src/tmg/csr.h).
 //
-// The legacy SccSolver re-`assign`s seven n-sized arrays on every
-// construction (src/tmg/howard.cpp); on the DSE/serve hot paths that is
+// A solver that re-`assign`s seven n-sized arrays per solve (as the
+// RatioGraph test reference does) pays, on the DSE/serve hot paths,
 // thousands of O(n) clears for solves that differ only in arc weights. A
 // HowardWorkspace hoists those arrays out of the solver: they are resized
 // once (monotonically — `ensure` only grows) and reused across solves.

@@ -1,6 +1,5 @@
-#include "tmg/howard.h"
+#include "howard_reference/howard.h"
 
-#include <atomic>
 #include <cassert>
 #include <limits>
 #include <vector>
@@ -8,6 +7,7 @@
 #include "graph/scc.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "tmg/csr.h"
 #include "util/log.h"
 
 namespace ermes::tmg {
@@ -258,8 +258,8 @@ class SccSolver {
 // Finds a zero-token cycle that lies entirely inside one SCC (iterative DFS
 // over the members, traversing only token-free internal arcs). The global
 // entry point screens the whole graph with find_zero_token_cycle first, so
-// there this never fires; it makes the per-SCC entry self-contained for the
-// partitioned engine, which may analyze one component in isolation.
+// there this never fires; it makes the per-SCC entry self-contained, so one
+// component can be solved in isolation.
 bool find_zero_token_cycle_in_scc(const RatioGraph& rg,
                                   const std::vector<std::int32_t>& comp_of,
                                   std::int32_t comp_id,
@@ -314,46 +314,7 @@ bool find_zero_token_cycle_in_scc(const RatioGraph& rg,
   return false;
 }
 
-std::atomic<int> g_iteration_cap_override{0};
-
 }  // namespace
-
-void set_howard_iteration_cap_for_testing(int cap) {
-  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-int howard_iteration_cap(std::size_t members) {
-  const int override_cap =
-      g_iteration_cap_override.load(std::memory_order_relaxed);
-  if (override_cap > 0) return override_cap;
-  return 64 + 2 * static_cast<int>(members);
-}
-
-// Publishes one solve's worth of telemetry in a single batch; the statics
-// cache the registry lookups (registrations are never erased, so the
-// references stay valid across Registry::reset()).
-void publish_howard_metrics(int iterations) {
-  static obs::Counter& solves =
-      obs::Registry::global().counter("howard.solves");
-  static obs::Counter& iters =
-      obs::Registry::global().counter("howard.iterations");
-  static obs::Histogram& per_solve =
-      obs::Registry::global().histogram("howard.iterations_per_solve");
-  solves.add(1);
-  iters.add(iterations);
-  per_solve.observe(iterations);
-}
-
-void note_iteration_cap_exhausted(int iterations, std::size_t members) {
-  ERMES_LOG(kWarn) << "Howard: iteration cap exhausted after " << iterations
-                   << " iterations on SCC of " << members
-                   << " nodes; result may be suboptimal";
-  if (obs::enabled()) obs::count("howard.cap_hits");
-}
-
-}  // namespace detail
 
 CycleRatioResult max_cycle_ratio_howard_scc(
     const RatioGraph& rg, const std::vector<std::int32_t>& component,
@@ -365,7 +326,7 @@ CycleRatioResult max_cycle_ratio_howard_scc(
   // Zero-token cycles are invisible to policy improvement (their lambda never
   // materializes unless a policy lands on them), so screen structurally
   // first. The global entry screens the whole graph instead; this local pass
-  // keeps one component's solve self-contained for the partitioned engine.
+  // keeps one component's solve self-contained.
   std::vector<ArcId> zero_cycle;
   if (find_zero_token_cycle_in_scc(rg, component, comp_id, members,
                                    &zero_cycle)) {
@@ -401,16 +362,6 @@ CycleRatioResult max_cycle_ratio_howard_scc(
     if (capped != nullptr) *capped = solver.capped();
   }
   return result;
-}
-
-void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out) {
-  if (!scc.has_cycle) return;
-  if (out->is_infinite()) return;  // an earlier deadlock dominates
-  if (!out->has_cycle || scc.is_infinite() ||
-      compare_ratios(scc.ratio_num, scc.ratio_den, out->ratio_num,
-                     out->ratio_den) > 0) {
-    *out = scc;
-  }
 }
 
 CycleRatioResult max_cycle_ratio_howard(const RatioGraph& rg) {

@@ -14,7 +14,6 @@
 
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 
 namespace ermes::tmg {

@@ -223,6 +223,18 @@ TEST(CliGolden, DseTrajectories) {
   }
 }
 
+// `ermes compose --report` text pinned byte for byte: the per-component
+// breakdown of the SCC-partitioned analysis, critical component and slack
+// included.
+TEST(CliGolden, ComposeReport) {
+  const RunResult result = run_cli("compose " +
+                                   std::string(ERMES_EXAMPLES_DIR) +
+                                   "/hier_pipeline.soc --report");
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  ermes::testing::expect_matches_golden("cli/compose_report_hier_pipeline.txt",
+                                        result.out);
+}
+
 TEST(CliExitCodes, RequestWithoutEndpointIsUsage) {
   const RunResult result = run_cli("request analyze " + demo_path());
   EXPECT_EQ(result.exit_code, 2);

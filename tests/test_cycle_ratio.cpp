@@ -1,7 +1,7 @@
-// Cross-validation of the maximum-cycle-ratio solvers: Howard (production)
-// vs Lawler binary search vs brute-force enumeration (Definition 3 applied
-// literally), plus Karp's max cycle mean, plus agreement with the timed
-// token-game simulation.
+// Cross-validation of the maximum-cycle-ratio solvers: Howard (production,
+// tmg::CycleMeanSolver) vs Lawler binary search vs brute-force enumeration
+// (Definition 3 applied literally), plus Karp's max cycle mean, plus
+// agreement with the timed token-game simulation.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 
 #include "graph/scc.h"
 #include "tmg/brute_force.h"
-#include "tmg/howard.h"
+#include "tmg/csr.h"
 #include "tmg/karp.h"
 #include "tmg/liveness.h"
 #include "tmg/marked_graph.h"
@@ -19,6 +19,20 @@
 
 namespace ermes::tmg {
 namespace {
+
+// The production Howard solver on a whole graph.
+CycleRatioResult solve_howard(const RatioGraph& rg) {
+  CycleMeanSolver solver;
+  return solver.solve(rg);
+}
+
+// The production Howard solver on one strongly connected component.
+CycleRatioResult solve_howard_scc(const RatioGraph& rg, std::int32_t comp_id,
+                                  int* iterations = nullptr) {
+  CycleMeanSolver solver;
+  solver.prepare(rg);
+  return solver.solve_component(comp_id, solver.workspace(0), iterations);
+}
 
 RatioGraph ring_graph(std::vector<std::int64_t> delays,
                       std::vector<std::int64_t> tokens) {
@@ -57,7 +71,7 @@ TEST(CompareRatiosTest, LargeValuesNoOverflow) {
 
 TEST(CycleRatioTest, SingleRing) {
   const RatioGraph rg = ring_graph({3, 5}, {0, 1});  // ratio 8/1
-  const auto howard = max_cycle_ratio_howard(rg);
+  const auto howard = solve_howard(rg);
   const auto lawler = max_cycle_ratio_lawler(rg);
   const auto brute = max_cycle_ratio_brute_force(rg);
   EXPECT_TRUE(howard.has_cycle);
@@ -73,14 +87,14 @@ TEST(CycleRatioTest, AcyclicGraph) {
   rg.g.add_arc(1, 2);
   rg.weight = {5, 7};
   rg.tokens = {1, 1};
-  EXPECT_FALSE(max_cycle_ratio_howard(rg).has_cycle);
+  EXPECT_FALSE(solve_howard(rg).has_cycle);
   EXPECT_FALSE(max_cycle_ratio_lawler(rg).has_cycle);
   EXPECT_FALSE(max_cycle_ratio_brute_force(rg).has_cycle);
 }
 
 TEST(CycleRatioTest, ZeroTokenCycleIsInfinite) {
   const RatioGraph rg = ring_graph({3, 5}, {0, 0});
-  const auto howard = max_cycle_ratio_howard(rg);
+  const auto howard = solve_howard(rg);
   EXPECT_TRUE(howard.is_infinite());
   EXPECT_TRUE(max_cycle_ratio_lawler(rg).is_infinite());
   EXPECT_TRUE(max_cycle_ratio_brute_force(rg).is_infinite());
@@ -96,7 +110,7 @@ TEST(CycleRatioTest, PicksWorstOfTwoRings) {
   rg.g.add_arc(3, 2);
   rg.weight = {2, 4, 4, 5};
   rg.tokens = {1, 0, 1, 0};
-  const auto howard = max_cycle_ratio_howard(rg);
+  const auto howard = solve_howard(rg);
   EXPECT_DOUBLE_EQ(howard.ratio, 9.0);
   EXPECT_EQ(howard.ratio_num, 9);
   EXPECT_EQ(howard.ratio_den, 1);
@@ -104,7 +118,7 @@ TEST(CycleRatioTest, PicksWorstOfTwoRings) {
 
 TEST(CycleRatioTest, RationalRatio) {
   const RatioGraph rg = ring_graph({3, 4, 5}, {1, 1, 0});  // 12/2 = 6
-  const auto howard = max_cycle_ratio_howard(rg);
+  const auto howard = solve_howard(rg);
   EXPECT_DOUBLE_EQ(howard.ratio, 6.0);
   EXPECT_EQ(howard.ratio_num, 12);
   EXPECT_EQ(howard.ratio_den, 2);
@@ -119,7 +133,7 @@ TEST(CycleRatioTest, CriticalCycleIsValidCycle) {
   rg.g.add_arc(2, 0);
   rg.weight = {7, 2, 3, 4};
   rg.tokens = {1, 1, 1, 1};
-  const auto result = max_cycle_ratio_howard(rg);
+  const auto result = solve_howard(rg);
   ASSERT_TRUE(result.has_cycle);
   // Verify closure and exact ratio of the returned cycle.
   std::int64_t w = 0, t = 0;
@@ -140,7 +154,7 @@ TEST(CycleRatioTest, SelfLoop) {
   rg.g.add_arc(0, 0);
   rg.weight = {5};
   rg.tokens = {2};
-  const auto howard = max_cycle_ratio_howard(rg);
+  const auto howard = solve_howard(rg);
   EXPECT_TRUE(howard.has_cycle);
   EXPECT_DOUBLE_EQ(howard.ratio, 2.5);
 }
@@ -153,7 +167,7 @@ TEST(CycleRatioTest, ParallelArcsPickWorse) {
   rg.g.add_arc(1, 0);
   rg.weight = {1, 1, 9};
   rg.tokens = {1, 1, 1};
-  EXPECT_DOUBLE_EQ(max_cycle_ratio_howard(rg).ratio, 5.0);  // (1+9)/2
+  EXPECT_DOUBLE_EQ(solve_howard(rg).ratio, 5.0);  // (1+9)/2
 }
 
 // ---- Karp ------------------------------------------------------------------
@@ -196,7 +210,7 @@ TEST(KarpTest, MatchesHowardOnUnitTokenGraphs) {
       rg.tokens.push_back(1);
     }
     const auto karp = max_cycle_mean_karp(rg);
-    const auto howard = max_cycle_ratio_howard(rg);
+    const auto howard = solve_howard(rg);
     ASSERT_TRUE(karp.has_cycle);
     ASSERT_TRUE(howard.has_cycle);
     EXPECT_NEAR(karp.ratio, howard.ratio, 1e-6) << "trial " << trial;
@@ -234,7 +248,7 @@ TEST_P(SolverAgreementTest, HowardMatchesBruteForceAndLawler) {
   util::Rng rng(GetParam());
   for (int trial = 0; trial < 10; ++trial) {
     const RatioGraph rg = random_live_graph(rng);
-    const auto howard = max_cycle_ratio_howard(rg);
+    const auto howard = solve_howard(rg);
     const auto brute = max_cycle_ratio_brute_force(rg);
     const auto lawler = max_cycle_ratio_lawler(rg);
     ASSERT_EQ(howard.has_cycle, brute.has_cycle);
@@ -279,7 +293,7 @@ TEST_P(SimulationAgreementTest, AsapPeriodEqualsHowardRatio) {
     g.add_place(u, v, 1);  // tokened extras keep the graph live
   }
   ASSERT_TRUE(is_live(g));
-  const auto howard = max_cycle_ratio_howard(to_ratio_graph(g));
+  const auto howard = solve_howard(to_ratio_graph(g));
   ASSERT_TRUE(howard.has_cycle);
   ASSERT_FALSE(howard.is_infinite());
   const TimedSimResult sim = simulate_asap(g, 0, 400);
@@ -303,9 +317,7 @@ TEST(HowardSccTest, TrivialComponentWithoutSelfLoopHasNoCycle) {
   ASSERT_EQ(sccs.num_components, 2);
   for (std::int32_t c = 0; c < 2; ++c) {
     int iterations = -1;
-    const CycleRatioResult r = max_cycle_ratio_howard_scc(
-        rg, sccs.component, c, sccs.members[static_cast<std::size_t>(c)],
-        &iterations);
+    const CycleRatioResult r = solve_howard_scc(rg, c, &iterations);
     EXPECT_FALSE(r.has_cycle);
     EXPECT_EQ(iterations, 0) << "fast path must not run policy iteration";
   }
@@ -313,8 +325,9 @@ TEST(HowardSccTest, TrivialComponentWithoutSelfLoopHasNoCycle) {
 
 TEST(HowardSccTest, TrivialSelfLoopFastPathMatchesTheGeneralSolver) {
   // One node, several self-loops: the closed-form fast path must pick the
-  // same ratio AND the same critical arc as whole-graph Howard (which takes
-  // the iterative path) — including first-wins on an exact tie.
+  // same ratio AND the same critical arc as the whole-graph solve, the
+  // maximum brute-force enumeration finds — including first-wins on an
+  // exact tie.
   RatioGraph rg;
   rg.g.add_nodes(1);
   rg.g.add_arc(0, 0);
@@ -325,16 +338,20 @@ TEST(HowardSccTest, TrivialSelfLoopFastPathMatchesTheGeneralSolver) {
   const auto sccs = graph::strongly_connected_components(rg.g);
   ASSERT_EQ(sccs.num_components, 1);
   int iterations = -1;
-  const CycleRatioResult fast = max_cycle_ratio_howard_scc(
-      rg, sccs.component, 0, sccs.members[0], &iterations);
+  const CycleRatioResult fast = solve_howard_scc(rg, 0, &iterations);
   EXPECT_EQ(iterations, 0);
-  const CycleRatioResult full = max_cycle_ratio_howard(rg);
+  const CycleRatioResult full = solve_howard(rg);
   EXPECT_EQ(fast.has_cycle, full.has_cycle);
   EXPECT_EQ(fast.ratio_num, full.ratio_num);
   EXPECT_EQ(fast.ratio_den, full.ratio_den);
   EXPECT_EQ(fast.ratio, full.ratio);
   EXPECT_EQ(fast.critical_cycle, full.critical_cycle);
   EXPECT_EQ(fast.ratio, 9.0);
+  EXPECT_EQ(fast.critical_cycle, std::vector<graph::ArcId>{1});
+  const CycleRatioResult brute = max_cycle_ratio_brute_force(rg);
+  EXPECT_EQ(compare_ratios(fast.ratio_num, fast.ratio_den, brute.ratio_num,
+                           brute.ratio_den),
+            0);
 
   // Exact tie between two self-loops: the earlier arc wins on both paths.
   RatioGraph tie;
@@ -343,10 +360,8 @@ TEST(HowardSccTest, TrivialSelfLoopFastPathMatchesTheGeneralSolver) {
   tie.g.add_arc(0, 0);
   tie.weight = {4, 8};  // both ratio 4
   tie.tokens = {1, 2};
-  const auto tie_sccs = graph::strongly_connected_components(tie.g);
-  const CycleRatioResult tie_fast = max_cycle_ratio_howard_scc(
-      tie, tie_sccs.component, 0, tie_sccs.members[0]);
-  const CycleRatioResult tie_full = max_cycle_ratio_howard(tie);
+  const CycleRatioResult tie_fast = solve_howard_scc(tie, 0);
+  const CycleRatioResult tie_full = solve_howard(tie);
   ASSERT_EQ(tie_fast.critical_cycle.size(), 1u);
   EXPECT_EQ(tie_fast.critical_cycle, tie_full.critical_cycle);
   EXPECT_EQ(tie_fast.critical_cycle[0], 0);
@@ -358,9 +373,7 @@ TEST(HowardSccTest, TrivialZeroTokenSelfLoopIsInfinite) {
   rg.g.add_arc(0, 0);
   rg.weight = {5};
   rg.tokens = {0};
-  const auto sccs = graph::strongly_connected_components(rg.g);
-  const CycleRatioResult r =
-      max_cycle_ratio_howard_scc(rg, sccs.component, 0, sccs.members[0]);
+  const CycleRatioResult r = solve_howard_scc(rg, 0);
   EXPECT_TRUE(r.is_infinite());
 }
 
@@ -410,7 +423,7 @@ TEST(HowardSccTest, FoldPrefersLargerAndKeepsInfiniteSticky) {
 TEST(HowardSccPropertyTest, FoldOfPerSccSolvesReproducesGlobalHoward) {
   // The exact contract the partitioned engine is built on: solving each
   // component independently and folding in ascending component index is
-  // bit-identical to whole-graph Howard — including the critical cycle.
+  // bit-identical to the whole-graph solve — including the critical cycle.
   for (std::uint64_t iter = 0; iter < 40; ++iter) {
     util::Rng rng = util::Rng::for_shard(0xf01d, iter);
     RatioGraph rg;
@@ -428,14 +441,11 @@ TEST(HowardSccPropertyTest, FoldOfPerSccSolvesReproducesGlobalHoward) {
       // infinite so the sticky-infinite fold rule is exercised too.
       rg.tokens.push_back(rng.flip(0.15) ? 0 : rng.uniform_int(1, 2));
     }
-    const CycleRatioResult global = max_cycle_ratio_howard(rg);
+    const CycleRatioResult global = solve_howard(rg);
     const auto sccs = graph::strongly_connected_components(rg.g);
     CycleRatioResult folded;
     for (std::int32_t c = 0; c < sccs.num_components; ++c) {
-      fold_cycle_ratio(
-          max_cycle_ratio_howard_scc(rg, sccs.component, c,
-                                     sccs.members[static_cast<std::size_t>(c)]),
-          &folded);
+      fold_cycle_ratio(solve_howard_scc(rg, c), &folded);
     }
     EXPECT_EQ(folded.has_cycle, global.has_cycle) << "iter " << iter;
     EXPECT_EQ(folded.is_infinite(), global.is_infinite()) << "iter " << iter;

@@ -4,8 +4,8 @@
 // permutation-cycle backbone guarantees strong connectivity; extra arcs add
 // cycle structure), then independent oracles must agree on every instance:
 //
-//  D1. Unit-token graphs: Howard's policy iteration == Karp's cycle mean ==
-//      brute-force cycle enumeration (on unit-token graphs the maximum cycle
+//  D1. Unit-token graphs: Howard's policy iteration (the production CSR
+//      solver) == Karp's cycle mean == brute-force cycle enumeration (on unit-token graphs the maximum cycle
 //      ratio *is* the maximum cycle mean), exactly as rationals and within
 //      1e-9 as doubles.
 //  D2. General markings: Howard == Lawler's binary search == brute force,
@@ -14,10 +14,11 @@
 //  D4. The structural liveness check (token-free cycle search) agrees with
 //      actually playing the token game: a strongly connected TMG with a dead
 //      cycle deadlocks after finitely many firings, a live one never does.
-//  D5. The CSR solver core (tmg/csr.h) is bit-identical to the legacy
-//      Howard path — same rationals, same critical cycle, same double bits —
-//      whether prepared from the RatioGraph or the MarkedGraph, cold or
-//      after any sequence of warm weight-only re-prepares.
+//  D5. The CSR solver core (tmg/csr.h) is bit-identical to the RatioGraph
+//      reference Howard (tests/howard_reference) — same rationals, same
+//      critical cycle, same double bits — whether prepared from the
+//      RatioGraph or the MarkedGraph, cold or after any sequence of warm
+//      weight-only re-prepares.
 //  D6. One CycleMeanSolver reused across differently-shaped graphs (its
 //      workspaces only ever grow) never contaminates a later solve.
 //  D7. solve_seeded() reaches the exact same maximum ratio as the canonical
@@ -45,10 +46,10 @@
 #include <string>
 #include <vector>
 
+#include "howard_reference/howard.h"
 #include "tmg/brute_force.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/karp.h"
 #include "tmg/liveness.h"
 #include "tmg/marked_graph.h"
@@ -213,7 +214,8 @@ bool results_agree(const CycleRatioResult& a, const CycleRatioResult& b) {
 bool unit_token_solvers_disagree(const TmgSpec& spec) {
   const MarkedGraph g = spec.build();
   const RatioGraph rg = to_ratio_graph(g);
-  const CycleRatioResult howard = max_cycle_ratio_howard(rg);
+  CycleMeanSolver solver;
+  const CycleRatioResult howard = solver.solve(rg);
   const CycleRatioResult karp = max_cycle_mean_karp(rg);
   const CycleRatioResult brute = max_cycle_ratio_brute_force(rg);
   // Every unit-token arc carries one token, so ratio denominators equal arc
@@ -241,7 +243,8 @@ TEST(DifferentialCycleRatio, UnitTokensHowardKarpBruteForceAgree) {
 bool general_token_solvers_disagree(const TmgSpec& spec) {
   const MarkedGraph g = spec.build();
   const RatioGraph rg = to_ratio_graph(g);
-  const CycleRatioResult howard = max_cycle_ratio_howard(rg);
+  CycleMeanSolver solver;
+  const CycleRatioResult howard = solver.solve(rg);
   const CycleRatioResult lawler = max_cycle_ratio_lawler(rg);
   const CycleRatioResult brute = max_cycle_ratio_brute_force(rg);
   return !results_agree(howard, brute) || !results_agree(lawler, brute) ||
@@ -337,16 +340,16 @@ bool results_bit_identical(const CycleRatioResult& a,
 bool csr_cold_diverges(const TmgSpec& spec) {
   const MarkedGraph g = spec.build();
   const RatioGraph rg = to_ratio_graph(g);
-  const CycleRatioResult legacy = max_cycle_ratio_howard(rg);
+  const CycleRatioResult reference = max_cycle_ratio_howard(rg);
   CycleMeanSolver from_rg;
   from_rg.prepare(rg);
-  if (!results_bit_identical(from_rg.solve(), legacy)) return true;
+  if (!results_bit_identical(from_rg.solve(), reference)) return true;
   // The MarkedGraph compile must mirror to_ratio_graph exactly.
   CycleMeanSolver from_tmg;
   from_tmg.prepare(g);
-  if (!results_bit_identical(from_tmg.solve(), legacy)) return true;
+  if (!results_bit_identical(from_tmg.solve(), reference)) return true;
   // Re-solving on the already-used workspaces must not drift.
-  return !results_bit_identical(from_tmg.solve(), legacy);
+  return !results_bit_identical(from_tmg.solve(), reference);
 }
 
 TEST(DifferentialCsrSolver, ColdSolveBitIdenticalToHoward) {
@@ -355,7 +358,7 @@ TEST(DifferentialCsrSolver, ColdSolveBitIdenticalToHoward) {
     const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
     if (csr_cold_diverges(spec)) {
       report_failure(shard, spec, csr_cold_diverges,
-                     "CSR solve is not bit-identical to legacy Howard");
+                     "CSR solve is not bit-identical to reference Howard");
       return;
     }
   }
@@ -373,8 +376,9 @@ bool csr_warm_mutations_diverge(const TmgSpec& spec) {
         static_cast<TransitionId>(rng.index(spec.delays.size()));
     g.set_delay(t, rng.uniform_int(0, 20));
     if (!solver.prepare(g)) return true;  // must stay warm: weights only
-    const CycleRatioResult legacy = max_cycle_ratio_howard(to_ratio_graph(g));
-    if (!results_bit_identical(solver.solve(), legacy)) return true;
+    const CycleRatioResult reference =
+        max_cycle_ratio_howard(to_ratio_graph(g));
+    if (!results_bit_identical(solver.solve(), reference)) return true;
   }
   return false;
 }
@@ -385,7 +389,7 @@ TEST(DifferentialCsrSolver, WarmWeightMutationsStayBitIdentical) {
     const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
     if (csr_warm_mutations_diverge(spec)) {
       report_failure(shard, spec, csr_warm_mutations_diverge,
-                     "warm CSR re-solve diverged from cold legacy Howard");
+                     "warm CSR re-solve diverged from cold reference Howard");
       return;
     }
   }
@@ -401,10 +405,10 @@ TEST(DifferentialCsrSolver, SolverReusedAcrossGraphsStaysBitIdentical) {
     util::Rng rng = util::Rng::for_shard(kBaseSeed ^ 0x5eedULL, shard);
     const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
     const MarkedGraph g = spec.build();
-    const CycleRatioResult legacy =
+    const CycleRatioResult reference =
         max_cycle_ratio_howard(to_ratio_graph(g));
     solver.prepare(g);
-    if (!results_bit_identical(solver.solve(), legacy)) {
+    if (!results_bit_identical(solver.solve(), reference)) {
       const auto fails = [&](const TmgSpec& cand) {
         // Re-create the cross-graph state: a fresh solver first sized by the
         // *previous* shard's graph, then fed the candidate.
@@ -441,14 +445,14 @@ bool csr_seeded_diverges(const TmgSpec& spec) {
     solver.prepare(g);
     const CycleRatioResult seeded = solver.solve_seeded();
     const RatioGraph rg = to_ratio_graph(g);
-    const CycleRatioResult legacy = max_cycle_ratio_howard(rg);
-    if (seeded.has_cycle != legacy.has_cycle) return true;
+    const CycleRatioResult reference = max_cycle_ratio_howard(rg);
+    if (seeded.has_cycle != reference.has_cycle) return true;
     if (!seeded.has_cycle) continue;
-    if (seeded.is_infinite() != legacy.is_infinite()) return true;
+    if (seeded.is_infinite() != reference.is_infinite()) return true;
     if (seeded.is_infinite()) continue;
     // Exact same maximum ratio, and a witness that actually attains it.
-    if (compare_ratios(seeded.ratio_num, seeded.ratio_den, legacy.ratio_num,
-                       legacy.ratio_den) != 0) {
+    if (compare_ratios(seeded.ratio_num, seeded.ratio_den,
+                       reference.ratio_num, reference.ratio_den) != 0) {
       return true;
     }
     if (!critical_cycle_consistent(rg, seeded)) return true;

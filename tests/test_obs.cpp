@@ -621,10 +621,10 @@ TEST(QuantileTest, RelativeErrorBoundHoldsAboveExactRange) {
 
 TEST(QuantileTest, QuantilesAreMonotoneInQ) {
   QuantileSnapshot q;
-  std::int64_t seed = 12345;
+  std::uint64_t seed = 12345;  // unsigned: the LCG wraps modulo 2^64
   for (int i = 0; i < 5000; ++i) {
-    seed = (seed * 6364136223846793005LL + 1442695040888963407LL);
-    q.observe((seed >> 33) & ((std::int64_t{1} << 28) - 1));
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    q.observe(static_cast<std::int64_t>((seed >> 33) & ((1ULL << 28) - 1)));
   }
   std::int64_t prev = q.quantile(0.0);
   for (double p = 0.05; p <= 1.0; p += 0.05) {

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "graph/scc.h"
+#include "howard_reference/howard.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "tmg/workspace.h"
 

@@ -122,6 +122,26 @@ TEST(GeneratorTest, ZeroFeedbackYieldsDag) {
   EXPECT_TRUE(graph::is_acyclic(sys.topology()));
 }
 
+TEST(GeneratorTest, TinySocsGenerateAndValidate) {
+  // Requests below three processes are raised to src -> one core -> snk; the
+  // single core process must still get a valid layering.
+  for (const std::int32_t n : {1, 2, 3}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      GeneratorConfig config;
+      config.num_processes = n;
+      config.num_channels = 2 * n;
+      config.seed = seed;
+      const SystemModel sys = generate_soc(config);
+      EXPECT_EQ(sys.num_processes(), 3) << "n=" << n << " seed=" << seed;
+      const sysmodel::ValidationReport report = sysmodel::validate(sys);
+      EXPECT_TRUE(report.ok()) << "n=" << n << " seed=" << seed;
+      for (const std::string& warning : report.warnings) {
+        ADD_FAILURE() << "n=" << n << " seed=" << seed << ": " << warning;
+      }
+    }
+  }
+}
+
 TEST(GeneratorTest, LargeGraphGeneratesQuickly) {
   GeneratorConfig config;
   config.num_processes = 10'000;
