@@ -14,6 +14,7 @@
 #include "ordering/channel_ordering.h"
 #include "synth/generator.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -37,15 +38,15 @@ SystemModel symmetric_fabric(int width, std::uint64_t seed) {
   const ProcessId snk = sys.add_process("snk", 1);
   sys.add_channel("in", src, split, 1);
   for (int i = 0; i < width; ++i) {
-    sys.add_channel("s" + std::to_string(i), split, lanes[static_cast<std::size_t>(i)], 1);
+    sys.add_channel(util::str_cat("s", i), split, lanes[static_cast<std::size_t>(i)], 1);
   }
   // Crossing lane-to-lane channels make orders within the joiner matter.
   for (int i = 0; i + 1 < width; ++i) {
-    sys.add_channel("x" + std::to_string(i), lanes[static_cast<std::size_t>(i)],
+    sys.add_channel(util::str_cat("x", i), lanes[static_cast<std::size_t>(i)],
                     lanes[static_cast<std::size_t>(i + 1)], 1);
   }
   for (int i = 0; i < width; ++i) {
-    sys.add_channel("j" + std::to_string(i), lanes[static_cast<std::size_t>(i)], join, 1);
+    sys.add_channel(util::str_cat("j", i), lanes[static_cast<std::size_t>(i)], join, 1);
   }
   sys.add_channel("out", join, snk, 1);
   // Scramble the designer order so the pre-existing order is arbitrary.

@@ -38,6 +38,7 @@
 #include "tmg/marked_graph.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -61,7 +62,7 @@ Workload make_workload(std::int32_t blocks, std::int32_t n,
   for (std::int32_t b = 0; b < blocks; ++b) {
     const std::int32_t base = b * n;
     for (std::int32_t t = 0; t < n; ++t) {
-      w.graph.add_transition("b" + std::to_string(b) + "t" + std::to_string(t),
+      w.graph.add_transition(util::str_cat("b", b, "t", t),
                              rng.uniform_int(1, 100));
     }
     const std::int32_t first_arc = w.graph.num_places();

@@ -13,6 +13,7 @@
 #include "ordering/channel_ordering.h"
 #include "sim/system_sim.h"
 #include "sysmodel/builder.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -103,10 +104,10 @@ int main() {
     const auto c = static_cast<std::size_t>(sys.find_channel(names[i]));
     table.add_row(
         {names[i],
-         "(" + std::to_string(labels.head_weight[c]) + "," +
-             std::to_string(labels.head_timestamp[c]) + ")",
-         "(" + std::to_string(labels.tail_weight[c]) + "," +
-             std::to_string(labels.tail_timestamp[c]) + ")",
+         util::str_cat("(", labels.head_weight[c], ",",
+                       labels.head_timestamp[c], ")"),
+         util::str_cat("(", labels.tail_weight[c], ",",
+                       labels.tail_timestamp[c], ")"),
          paper_head[i], paper_tail[i]});
   }
   std::printf("%s", table.to_text(2).c_str());

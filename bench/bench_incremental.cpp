@@ -30,6 +30,7 @@
 #include "svc/json.h"
 #include "sysmodel/system.h"
 #include "util/stopwatch.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -40,7 +41,7 @@ sysmodel::SystemModel make_block_chain(int blocks, int ring) {
   sysmodel::SystemModel sys;
   std::vector<sysmodel::ProcessId> first(static_cast<std::size_t>(blocks));
   for (int b = 0; b < blocks; ++b) {
-    const std::string prefix = "b" + std::to_string(b) + ".";
+    const std::string prefix = util::str_cat("b", b, ".");
     std::vector<sysmodel::ProcessId> procs;
     procs.reserve(static_cast<std::size_t>(ring));
     for (int i = 0; i < ring; ++i) {
@@ -63,7 +64,7 @@ sysmodel::SystemModel make_block_chain(int blocks, int ring) {
   // each block stays its own strongly connected component.
   for (int b = 0; b + 1 < blocks; ++b) {
     const sysmodel::ChannelId j = sys.add_channel(
-        "j" + std::to_string(b), first[static_cast<std::size_t>(b)],
+        util::str_cat("j", b), first[static_cast<std::size_t>(b)],
         first[static_cast<std::size_t>(b + 1)], /*latency=*/1);
     sys.set_channel_capacity(j, sysmodel::kUnboundedCapacity);
   }

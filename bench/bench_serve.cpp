@@ -48,6 +48,7 @@
 #include "svc/server.h"
 #include "sysmodel/builder.h"
 #include "util/stopwatch.h"
+#include "util/str_cat.h"
 
 using namespace ermes;
 
@@ -194,7 +195,7 @@ LoadResult run_load(const Config& config, const sysmodel::SystemModel& sys,
         const std::size_t t =
             static_cast<std::size_t>(c + r) % targets.size();
         const std::string id =
-            "c" + std::to_string(c) + "r" + std::to_string(r);
+            util::str_cat("c", c, "r", r);
         util::Stopwatch sw;
         const svc::ResponseView view = client->call(svc::encode_request(
             svc::Op::kExplore, svc::JsonValue::string(id), soc, targets[t]));

@@ -37,6 +37,7 @@
 #include "tmg/marked_graph.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -48,7 +49,7 @@ tmg::MarkedGraph make_tmg(std::int32_t n, std::uint64_t seed) {
   tmg::MarkedGraph g;
   g.reserve(n, 3 * n);
   for (std::int32_t t = 0; t < n; ++t) {
-    g.add_transition("t" + std::to_string(t),
+    g.add_transition(util::str_cat("t", t),
                      rng.uniform_int(1, 100));
   }
   for (std::int32_t t = 0; t < n; ++t) {

@@ -17,6 +17,7 @@
 #include "sim/system_sim.h"
 #include "sysmodel/stats.h"
 #include "sysmodel/system.h"
+#include "util/str_cat.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -37,9 +38,9 @@ SystemModel make_filterbank(int bands) {
     // Lower bands run longer biquad cascades (narrower transition bands).
     const std::int64_t stages = 2 + (bands - b);
     const ProcessId filter = sys.add_process(
-        "band" + std::to_string(b), 8 * stages);
-    sys.add_channel("a" + std::to_string(b), split, filter, 2);
-    sys.add_channel("s" + std::to_string(b), filter, merge, 2);
+        util::str_cat("band", b), 8 * stages);
+    sys.add_channel(util::str_cat("a", b), split, filter, 2);
+    sys.add_channel(util::str_cat("s", b), filter, merge, 2);
   }
   return sys;
 }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/str_cat.h"
+
 namespace ermes::graph {
 
 NodeId Digraph::add_nodes(std::int32_t count) {
@@ -9,7 +11,7 @@ NodeId Digraph::add_nodes(std::int32_t count) {
   const NodeId first = num_nodes();
   nodes_.resize(nodes_.size() + static_cast<std::size_t>(count));
   for (NodeId n = first; n < num_nodes(); ++n) {
-    nodes_[static_cast<std::size_t>(n)].name = "n" + std::to_string(n);
+    nodes_[static_cast<std::size_t>(n)].name = util::str_cat("n", n);
   }
   return first;
 }

@@ -9,6 +9,7 @@
 
 #include "exec/thread_pool.h"
 #include "exec/worker_slots.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/system_sim.h"
 #include "util/log.h"
@@ -137,8 +138,8 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
         caps[c] == sysmodel::kUnboundedCapacity ? kUnboundedSlots : caps[c];
     max_latency = std::max(max_latency, chan.latency);
   }
-  for (obs::HistogramData& h : put_wait_) h.reset();
-  for (obs::HistogramData& h : get_wait_) h.reset();
+  for (WaitHistogram& h : put_wait_) h.reset();
+  for (WaitHistogram& h : get_wait_) h.reset();
 
   queue_.configure(max_latency, num_procs + num_chans);
   scratch_.clear();
@@ -209,8 +210,9 @@ bool CompiledSim::Instance::matches_period_snapshot() const {
 // The state at the snapshot has recurred (shifted by T = now - snap time),
 // so the trajectory from here on repeats the [snapshot, now] segment
 // verbatim, T cycles and d_obs observations at a stride. Jump n whole
-// periods in O(state): every counter and histogram bucket advances by n x
-// its per-period delta (current minus snapshot value), every live clock
+// periods in O(state): every counter and every bucket a wait histogram
+// holds advances by n x its per-period delta (current minus snapshot
+// value; a bucket empty now was empty at the snapshot too), every live clock
 // and pending event time shifts by n x T, and the skipped observation
 // times are replayed arithmetically. Histogram min/max and peak occupancy
 // are already final — the compared interval contains at least one full
@@ -261,20 +263,8 @@ bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
     cur.consumer_wait_since += shift;
   }
   for (std::size_t c = 0; c < put_wait_.size(); ++c) {
-    obs::HistogramData& cur_put = put_wait_[c];
-    const obs::HistogramData& old_put = snap_put_wait_[c];
-    cur_put.count += n * (cur_put.count - old_put.count);
-    cur_put.sum += n * (cur_put.sum - old_put.sum);
-    for (std::size_t b = 0; b < cur_put.buckets.size(); ++b) {
-      cur_put.buckets[b] += n * (cur_put.buckets[b] - old_put.buckets[b]);
-    }
-    obs::HistogramData& cur_get = get_wait_[c];
-    const obs::HistogramData& old_get = snap_get_wait_[c];
-    cur_get.count += n * (cur_get.count - old_get.count);
-    cur_get.sum += n * (cur_get.sum - old_get.sum);
-    for (std::size_t b = 0; b < cur_get.buckets.size(); ++b) {
-      cur_get.buckets[b] += n * (cur_get.buckets[b] - old_get.buckets[b]);
-    }
+    put_wait_[c].advance_periods(snap_put_wait_[c], n);
+    get_wait_[c].advance_periods(snap_get_wait_[c], n);
   }
 
   // Replay the skipped observation windows arithmetically so
@@ -773,8 +763,8 @@ ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
     out.put_wait_cycles = chan.producer_stall_cycles;
     out.get_wait_cycles = chan.consumer_stall_cycles;
     out.peak_occupancy = chan.peak_occupancy;
-    out.put_wait = chan.put_wait;
-    out.get_wait = chan.get_wait;
+    out.put_wait = WaitHistogram::from_dense(chan.put_wait);
+    out.get_wait = WaitHistogram::from_dense(chan.get_wait);
   }
   return result;
 }
@@ -783,11 +773,6 @@ namespace {
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool hist_equal(const obs::HistogramData& a, const obs::HistogramData& b) {
-  return a.count == b.count && a.sum == b.sum && a.min == b.min &&
-         a.max == b.max && a.buckets == b.buckets;
 }
 
 }  // namespace
@@ -824,8 +809,7 @@ bool results_bit_identical(const ScenarioResult& a, const ScenarioResult& b) {
         x.put_wait_cycles != y.put_wait_cycles ||
         x.get_wait_cycles != y.get_wait_cycles ||
         x.peak_occupancy != y.peak_occupancy ||
-        !hist_equal(x.put_wait, y.put_wait) ||
-        !hist_equal(x.get_wait, y.get_wait)) {
+        x.put_wait != y.put_wait || x.get_wait != y.get_wait) {
       return false;
     }
   }
@@ -858,8 +842,8 @@ StallReport to_stall_report(const sysmodel::SystemModel& sys,
     stall.put_wait_cycles = stats.put_wait_cycles;
     stall.get_wait_cycles = stats.get_wait_cycles;
     stall.peak_occupancy = stats.peak_occupancy;
-    stall.put_wait = stats.put_wait;
-    stall.get_wait = stats.get_wait;
+    stall.put_wait = stats.put_wait.to_dense();
+    stall.get_wait = stats.get_wait.to_dense();
     report.channels.push_back(std::move(stall));
   }
   return report;
@@ -880,8 +864,10 @@ void publish_metrics(const sysmodel::SystemModel& sys,
     blocked_puts += chan.blocked_puts;
     blocked_gets += chan.blocked_gets;
     peak_occupancy = std::max(peak_occupancy, chan.peak_occupancy);
-    all_put_wait.merge(chan.put_wait);
-    all_get_wait.merge(chan.get_wait);
+    const obs::HistogramData put_wait = chan.put_wait.to_dense();
+    const obs::HistogramData get_wait = chan.get_wait.to_dense();
+    all_put_wait.merge(put_wait);
+    all_get_wait.merge(get_wait);
     const std::string cbase =
         base + ".channel." + sys.channel_name(static_cast<sysmodel::ChannelId>(c));
     registry.counter(cbase + ".transfers").add(chan.transfers);
@@ -890,8 +876,8 @@ void publish_metrics(const sysmodel::SystemModel& sys,
     registry.counter(cbase + ".put_wait_cycles").add(chan.put_wait_cycles);
     registry.counter(cbase + ".get_wait_cycles").add(chan.get_wait_cycles);
     registry.gauge(cbase + ".peak_occupancy").record_max(chan.peak_occupancy);
-    registry.histogram(cbase + ".put_wait").record(chan.put_wait);
-    registry.histogram(cbase + ".get_wait").record(chan.get_wait);
+    registry.histogram(cbase + ".put_wait").record(put_wait);
+    registry.histogram(cbase + ".get_wait").record(get_wait);
   }
 
   std::int64_t stall_cycles = 0;

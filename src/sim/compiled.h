@@ -30,10 +30,10 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/program.h"
 #include "sim/stall_report.h"
+#include "sim/wait_histogram.h"
 #include "sysmodel/system.h"
 
 namespace ermes::exec {
@@ -72,8 +72,8 @@ struct ScenarioChannelStats {
   std::int64_t put_wait_cycles = 0;
   std::int64_t get_wait_cycles = 0;
   std::int64_t peak_occupancy = 0;
-  obs::HistogramData put_wait;
-  obs::HistogramData get_wait;
+  WaitHistogram put_wait;
+  WaitHistogram get_wait;
 };
 
 /// Everything a Kernel run would report, as string-free PODs: the RunResult
@@ -199,10 +199,11 @@ class CompiledSim {
     std::vector<std::int64_t> proc_latency_;  // scenario-resolved
     std::vector<ProcHot> procs_;
     std::vector<ChanHot> chans_;
-    // Histograms are bulky (fixed bucket arrays) and only touched when a
-    // wait episode closes — parked outside the hot records.
-    std::vector<obs::HistogramData> put_wait_;
-    std::vector<obs::HistogramData> get_wait_;
+    // Wait histograms are only touched when a wait episode closes — parked
+    // outside the hot records. Compact (80 B each, see wait_histogram.h):
+    // a steady-state channel waits for one or two distinct durations.
+    std::vector<WaitHistogram> put_wait_;
+    std::vector<WaitHistogram> get_wait_;
 
     CalendarQueue queue_;
     // Same-instant working set: pop_at() drains into scratch_, which is
@@ -218,11 +219,11 @@ class CompiledSim {
     // doubling-cadence snapshot of the full engine state, taken and
     // compared at observation boundaries. The copies double as the "state
     // at period start" the jump differences against; buffers persist
-    // across runs so snapshots are pure memcpy.
+    // across runs, so a snapshot copies into storage it already owns.
     std::vector<ProcHot> snap_procs_;
     std::vector<ChanHot> snap_chans_;
-    std::vector<obs::HistogramData> snap_put_wait_;
-    std::vector<obs::HistogramData> snap_get_wait_;
+    std::vector<WaitHistogram> snap_put_wait_;
+    std::vector<WaitHistogram> snap_get_wait_;
     std::vector<std::pair<std::int64_t, std::uint32_t>> requeue_;
     std::int64_t snap_now_ = 0;
     std::int64_t snap_obs_ = 0;
@@ -272,7 +273,7 @@ ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
                                  const BatchOptions& opts = {});
 
 /// Exact comparison: integers by value, doubles by bit pattern, histograms
-/// field-for-field.
+/// by count, sum, min, max and every bucket.
 bool results_bit_identical(const ScenarioResult& a, const ScenarioResult& b);
 
 /// Resolves names back in for reporting: the same StallReport shape

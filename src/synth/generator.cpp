@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/str_cat.h"
+
 namespace ermes::synth {
 
 using sysmodel::ChannelId;
@@ -58,7 +60,7 @@ sysmodel::SystemModel generate_soc(const GeneratorConfig& config) {
     const auto l = static_cast<std::size_t>(
         std::min<std::int32_t>(layers - 1, i * layers / core_count));
     const ProcessId p = sys.add_process(
-        "p" + std::to_string(l) + "_" + std::to_string(layer[l].size()),
+        util::str_cat("p", l, "_", layer[l].size()),
         proc_latency());
     layer[l].push_back(p);
   }
@@ -69,7 +71,7 @@ sysmodel::SystemModel generate_soc(const GeneratorConfig& config) {
   auto add_channel = [&](ProcessId from, ProcessId to) -> bool {
     if (from == to) return false;
     if (!used_pairs.insert({from, to}).second) return false;
-    sys.add_channel("c" + std::to_string(chan_counter++), from, to,
+    sys.add_channel(util::str_cat("c", chan_counter++), from, to,
                     chan_latency());
     return true;
   };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/str_cat.h"
+
 namespace ermes::synth {
 
 using sysmodel::Implementation;
@@ -19,7 +21,7 @@ ParetoSet generate_pareto_set(std::int64_t base_latency, double base_area,
   // multiplies the area accordingly. The base point is the slowest/smallest.
   for (std::size_t k = 0; k < points; ++k) {
     Implementation impl;
-    impl.name = "u" + std::to_string(std::size_t{1} << k);  // unroll factor
+    impl.name = util::str_cat("u", std::size_t{1} << k);  // unroll factor
     const double speedup = std::pow(2.0, static_cast<double>(k)) *
                            (1.0 + rng.uniform_real(-config.jitter / 2,
                                                    config.jitter / 2));

@@ -176,8 +176,6 @@ class CsrSccSolver {
         const auto s = static_cast<std::size_t>(ws_.policy[xi]);
         const auto ni = static_cast<std::size_t>(csr_.slot_head[s]);
         ws_.lambda[xi] = ws_.lambda[ni];
-        ws_.cyc_w[xi] = ws_.cyc_w[ni];
-        ws_.cyc_t[xi] = ws_.cyc_t[ni];
         ws_.value[xi] =
             static_cast<double>(csr_.slot_weight[s]) -
             ws_.lambda[xi] * static_cast<double>(csr_.slot_tokens[s]) +
@@ -217,8 +215,6 @@ class CsrSccSolver {
       const NodeId cur = ws_.walk[i];
       const auto ci = static_cast<std::size_t>(cur);
       ws_.lambda[ci] = lam;
-      ws_.cyc_w[ci] = w_sum;
-      ws_.cyc_t[ci] = t_sum;
       ws_.done[ci] = stamp_;
       if (i + 1 < ws_.walk.size()) {
         const auto s = static_cast<std::size_t>(ws_.policy[ci]);
@@ -605,14 +601,22 @@ void CycleMeanSolver::compile_plan() {
   plans_.assign(static_cast<std::size_t>(sccs_.num_components), SccPlan{});
   plan_slots_.clear();
   plan_arcs_.clear();
-  std::vector<char> color(n, 0);
-  std::vector<ArcId> via(n, graph::kInvalidArc);
+  // Every cycle lies inside one SCC, so a graph without a token-free cycle
+  // has no SCC with one: the per-SCC screen runs only behind a whole-graph
+  // witness.
+  std::vector<char> color;
+  std::vector<ArcId> via;
+  if (has_zero_witness_) {
+    color.assign(n, 0);
+    via.assign(n, graph::kInvalidArc);
+  }
   std::vector<ArcId> zero_cycle;
   for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
     SccPlan& plan = plans_[static_cast<std::size_t>(c)];
     const auto& members = sccs_.members[static_cast<std::size_t>(c)];
     zero_cycle.clear();
-    if (csr_zero_token_cycle_in_scc(csr_, sccs_.component, c, members, color,
+    if (has_zero_witness_ &&
+        csr_zero_token_cycle_in_scc(csr_, sccs_.component, c, members, color,
                                     via, &zero_cycle)) {
       plan.kind = SccKind::kZeroToken;
       plan.begin = static_cast<std::int32_t>(plan_arcs_.size());

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/str_cat.h"
+
 namespace ermes::tmg {
 
 TransitionId MarkedGraph::add_transition(std::string name,
@@ -21,7 +23,7 @@ PlaceId MarkedGraph::add_place(TransitionId producer, TransitionId consumer,
   assert(tokens >= 0);
   const PlaceId p = num_places();
   PlaceRec rec;
-  rec.name = name.empty() ? ("p" + std::to_string(p)) : std::move(name);
+  rec.name = name.empty() ? util::str_cat("p", p) : std::move(name);
   rec.producer = producer;
   rec.consumer = consumer;
   rec.tokens = tokens;

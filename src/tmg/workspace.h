@@ -15,10 +15,10 @@
 //    solves, so stale entries from a previous solve (or a previous, smaller
 //    graph) can never alias a current mark. On int32 overflow the arrays are
 //    wiped and the stamp restarts — a once-per-2^31-evaluations event.
-//  * `policy` / `lambda` / `value` / `cyc_w` / `cyc_t` are written before
-//    they are read within every solve (init seeds `policy` for all members;
-//    `evaluate` settles lambda/value/cyc_* for every member before `improve`
-//    reads them), so stale values from earlier solves are dead data.
+//  * `policy` / `lambda` / `value` are written before they are read within
+//    every solve (init seeds `policy` for all members; `evaluate` settles
+//    lambda/value for every member before `improve` reads them), so stale
+//    values from earlier solves are dead data.
 //
 // Ownership rules: a workspace belongs to exactly one thread at a time. The
 // batch API (CycleMeanSolver) keeps one workspace per pool worker slot and
@@ -41,8 +41,6 @@ struct HowardWorkspace {
   std::vector<std::int32_t> policy;  // chosen out-slot per node
   std::vector<double> lambda;        // cycle ratio reached by the policy
   std::vector<double> value;         // bias/potential per node
-  std::vector<std::int64_t> cyc_w;   // weight sum of the reached cycle
-  std::vector<std::int64_t> cyc_t;   // token sum of the reached cycle
   std::vector<std::int32_t> seen;    // stamped: on the current walk
   std::vector<std::int32_t> done;    // stamped: settled this evaluation
 
@@ -59,8 +57,6 @@ struct HowardWorkspace {
     policy.resize(n);
     lambda.resize(n);
     value.resize(n);
-    cyc_w.resize(n);
-    cyc_t.resize(n);
     seen.resize(n, -1);
     done.resize(n, -1);
     capacity_ = n;

@@ -24,6 +24,7 @@
 #include "sysmodel/builder.h"
 #include "tmg/csr.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace ermes {
 namespace {
@@ -171,7 +172,7 @@ TEST(ClockCache, ClearSkipsPinnedEntries) {
 TEST(ClockCache, ShardStatsFoldToTotals) {
   cache::ClockCache<std::string> c(4, 0, string_cost());
   for (std::uint64_t k = 0; k < 64; ++k) {
-    c.insert(k, "v" + std::to_string(k));
+    c.insert(k, util::str_cat("v", k));
   }
   for (std::uint64_t k = 0; k < 64; ++k) c.lookup(k, nullptr);
   for (std::uint64_t k = 64; k < 96; ++k) c.lookup(k, nullptr);

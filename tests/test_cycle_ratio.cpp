@@ -16,6 +16,7 @@
 #include "tmg/marked_graph.h"
 #include "tmg/token_game.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace ermes::tmg {
 namespace {
@@ -281,7 +282,7 @@ TEST_P(SimulationAgreementTest, AsapPeriodEqualsHowardRatio) {
   MarkedGraph g;
   const auto n = static_cast<std::int32_t>(rng.uniform_int(2, 8));
   for (std::int32_t i = 0; i < n; ++i) {
-    g.add_transition("t" + std::to_string(i), rng.uniform_int(1, 12));
+    g.add_transition(util::str_cat("t", i), rng.uniform_int(1, 12));
   }
   for (std::int32_t i = 0; i < n; ++i) {
     g.add_place(i, (i + 1) % n, i == 0 ? 1 : rng.uniform_int(0, 1));

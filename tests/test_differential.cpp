@@ -55,6 +55,7 @@
 #include "tmg/marked_graph.h"
 #include "tmg/token_game.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace ermes::tmg {
 namespace {
@@ -79,7 +80,7 @@ struct TmgSpec {
   MarkedGraph build() const {
     MarkedGraph g;
     for (std::size_t t = 0; t < delays.size(); ++t) {
-      g.add_transition("t" + std::to_string(t), delays[t]);
+      g.add_transition(util::str_cat("t", t), delays[t]);
     }
     for (std::size_t i = 0; i < backbone.size(); ++i) {
       g.add_place(backbone[i], backbone[(i + 1) % backbone.size()],

@@ -15,6 +15,7 @@
 #include "golden.h"
 #include "io/soc_format.h"
 #include "sysmodel/system.h"
+#include "util/str_cat.h"
 
 namespace ermes::dse {
 namespace {
@@ -314,7 +315,7 @@ std::string golden_text(const ExplorationResult& result) {
   out += "met " + std::to_string(result.met_target ? 1 : 0) + " converged " +
          std::to_string(result.converged ? 1 : 0) + "\nselection";
   for (const std::size_t impl : current_selection(result.final_system)) {
-    out += " " + std::to_string(impl);
+    out += util::str_cat(" ", impl);
   }
   return out + "\n";
 }

@@ -17,6 +17,7 @@
 #include "analysis/performance.h"
 #include "exec/thread_pool.h"
 #include "sysmodel/system.h"
+#include "util/str_cat.h"
 
 namespace ermes {
 namespace {
@@ -400,10 +401,10 @@ TEST(EvalCacheSingleFlight, ConcurrentReportMissesComputeEachKeyOnce) {
     sysmodel::SystemModel sys;
     constexpr int kLength = 1000;
     for (int p = 0; p < kLength; ++p) {
-      sys.add_process("p" + std::to_string(p), 1 + (p + k) % 7);
+      sys.add_process(util::str_cat("p", p), 1 + (p + k) % 7);
     }
     for (int p = 0; p < kLength; ++p) {
-      sys.add_channel("c" + std::to_string(p), p, (p + 1) % kLength, 1);
+      sys.add_channel(util::str_cat("c", p), p, (p + 1) % kLength, 1);
     }
     sys.set_primed(0, true);
     systems.push_back(std::move(sys));

@@ -27,6 +27,7 @@
 #include "svc/protocol.h"
 #include "sysmodel/builder.h"
 #include "io/soc_format.h"
+#include "util/str_cat.h"
 
 namespace ermes {
 namespace {
@@ -182,7 +183,7 @@ TEST_P(EventServerBackend, EchoesLinesAcrossShardsAndClients) {
       }
       for (int i = 0; i < kLines; ++i) {
         const std::string line =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+            util::str_cat("c", c, "-", i);
         std::string reply;
         if (!client->send_line(line, &client_error) ||
             !client->recv_line(&reply, &client_error) || reply != line) {

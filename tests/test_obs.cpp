@@ -24,6 +24,7 @@
 #include "obs/span.h"
 #include "sim/kernel.h"
 #include "sim/stall_report.h"
+#include "util/str_cat.h"
 #include "util/timer.h"
 
 namespace ermes::obs {
@@ -427,7 +428,7 @@ TEST(SpanTest, CloseIsIdempotentAndEndsTheSpanEarly) {
 TEST(SpanRecorderTest, RingKeepsNewestAndCountsDrops) {
   SpanRecorder rec(/*capacity=*/4);
   for (int i = 0; i < 6; ++i) {
-    rec.record("s" + std::to_string(i), "test", /*start_ns=*/i, /*dur_ns=*/1);
+    rec.record(util::str_cat("s", i), "test", /*start_ns=*/i, /*dur_ns=*/1);
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.dropped(), 2);

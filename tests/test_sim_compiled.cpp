@@ -19,6 +19,13 @@
 //  S5. Model validation: on live generated SoCs (rendezvous channels, no
 //      capacity constraints) the sim-measured steady-state cycle time
 //      equals the Howard max cycle mean from analyze_system.
+//  S6. Periodic extrapolation: long runs that jump whole periods equal the
+//      full grind and the Kernel, including runs whose wait histograms
+//      spilled past their inline buckets before the jump, and an Instance
+//      reused after such a run resets completely.
+//  W.  The compact WaitHistogram equals obs::HistogramData::observe on
+//      random sequences (inline and spilled), and advance_periods equals
+//      observing the period n more times.
 //
 // Failures shrink the offending system (dropping chords, collapsing
 // latencies, zeroing capacities) while the divergence persists, then print
@@ -34,12 +41,15 @@
 
 #include "analysis/performance.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "sim/compiled.h"
 #include "sim/event_queue.h"
 #include "sim/system_sim.h"
+#include "sim/wait_histogram.h"
 #include "synth/generator.h"
 #include "sysmodel/system.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace ermes::sim {
 namespace {
@@ -68,7 +78,7 @@ struct SysSpec {
   sysmodel::SystemModel build() const {
     sysmodel::SystemModel sys;
     for (std::size_t p = 0; p < procs.size(); ++p) {
-      sys.add_process("p" + std::to_string(p), procs[p].latency);
+      sys.add_process(util::str_cat("p", p), procs[p].latency);
       if (procs[p].primed) {
         sys.set_primed(static_cast<sysmodel::ProcessId>(p), true);
       }
@@ -79,10 +89,10 @@ struct SysSpec {
       sys.set_channel_capacity(c, chan.capacity);
     };
     for (std::size_t i = 0; i < rings.size(); ++i) {
-      add(rings[i], "r" + std::to_string(i));
+      add(rings[i], util::str_cat("r", i));
     }
     for (std::size_t i = 0; i < chords.size(); ++i) {
-      add(chords[i], "x" + std::to_string(i));
+      add(chords[i], util::str_cat("x", i));
     }
     return sys;
   }
@@ -426,6 +436,240 @@ TEST(CompiledSimDifferentialTest, PeriodExtrapolationIsExact) {
         << describe(spec);
     if (HasFailure()) return;
   }
+}
+
+// A FIFO pipeline whose stage latencies double from a fast source to a
+// slow sink. Each buffer that fills hands the source the rate of the next,
+// slower stage, so the source's put waits roughly double from one phase to
+// the next — about one new log2 bucket per stage — before the run settles
+// into the sink-paced periodic orbit. The source channel's put histogram therefore
+// spills during the transient, before the period jump; after the jump the
+// run only replays waits the compared period already produced.
+sysmodel::SystemModel doubling_pipeline(int stages, std::int64_t capacity,
+                                        std::int64_t channel_latency) {
+  sysmodel::SystemModel sys;
+  for (int i = 0; i < stages; ++i) {
+    sys.add_process(util::str_cat("s", i), std::int64_t{1} << i);
+  }
+  for (int i = 1; i < stages; ++i) {
+    const sysmodel::ChannelId c =
+        sys.add_channel(util::str_cat("c", i), i - 1, i, channel_latency);
+    sys.set_channel_capacity(c, capacity);
+  }
+  return sys;
+}
+
+BatchOptions long_opts() {
+  BatchOptions opts;
+  opts.target_transfers = 5000;
+  opts.max_cycles = 50'000'000;
+  return opts;
+}
+
+TEST(CompiledSimDifferentialTest, SpilledHistogramsSurviveThePeriodJump) {
+  for (int stages = 6; stages <= 8; ++stages) {
+    for (std::int64_t capacity = 1; capacity <= 4; ++capacity) {
+      for (std::int64_t latency = 0; latency <= 1; ++latency) {
+        const sysmodel::SystemModel sys =
+            doubling_pipeline(stages, capacity, latency);
+        const BatchOptions opts = long_opts();
+        BatchOptions grind = opts;
+        grind.detect_period = false;
+
+        CompiledSim compiled(sys);
+        CompiledSim::Instance instance(compiled);
+        const ScenarioResult jumped = instance.run({}, opts);
+        ASSERT_FALSE(jumped.deadlocked);
+        ASSERT_EQ(jumped.observed_count, opts.target_transfers);
+        EXPECT_TRUE(jumped.channels.front().put_wait.spilled())
+            << "stages " << stages << ", capacity " << capacity;
+        EXPECT_TRUE(results_bit_identical(jumped, instance.run({}, grind)))
+            << "stages " << stages << ", capacity " << capacity
+            << ", channel latency " << latency;
+        EXPECT_TRUE(
+            results_bit_identical(run_legacy_kernel(sys, {}, opts), jumped))
+            << "stages " << stages << ", capacity " << capacity
+            << ", channel latency " << latency;
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CompiledSimDifferentialTest, InstanceReuseAfterSpilledRun) {
+  const sysmodel::SystemModel sys = doubling_pipeline(7, 2, 1);
+  const BatchOptions spill_opts = long_opts();
+  // Short runs of the same structure under other weights: a reused
+  // Instance must not carry the spilled blocks (or their counts) into them.
+  util::Rng rng(kBaseSeed ^ 0x2e05e);
+  std::vector<SimScenario> scenarios = random_scenarios(sys, rng, 6);
+  scenarios.insert(scenarios.begin(), SimScenario{});
+  const BatchOptions opts = quick_opts();
+
+  CompiledSim compiled(sys);
+  CompiledSim::Instance reused(compiled);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const ScenarioResult spilled = reused.run({}, spill_opts);
+    ASSERT_TRUE(spilled.channels.front().put_wait.spilled());
+    const ScenarioResult a = reused.run(scenarios[i], opts);
+    CompiledSim::Instance fresh(compiled);
+    EXPECT_TRUE(results_bit_identical(a, fresh.run(scenarios[i], opts)))
+        << "spilled run leaked into scenario " << i;
+    EXPECT_TRUE(results_bit_identical(
+        a, run_legacy_kernel(sys, scenarios[i], opts)))
+        << "scenario " << i << " after a spilled run diverged";
+    EXPECT_TRUE(results_bit_identical(spilled, fresh.run({}, spill_opts)));
+  }
+}
+
+// ---- W: compact wait histogram vs the dense accumulator ---------------------
+
+// A value from log2 bucket `b` (bucket 0 holds every value <= 0).
+std::int64_t value_in_bucket(util::Rng& rng, int b) {
+  if (b == 0) return rng.uniform_int(-3, 0);
+  const std::int64_t lo = std::int64_t{1} << (b - 1);
+  return rng.uniform_int(lo, 2 * lo - 1);
+}
+
+// A random sequence drawn from `levels` distinct buckets.
+std::vector<std::int64_t> random_waits(util::Rng& rng,
+                                       const std::vector<int>& levels,
+                                       std::size_t length) {
+  std::vector<std::int64_t> out;
+  for (std::size_t i = 0; i < length; ++i) {
+    out.push_back(value_in_bucket(rng, levels[rng.index(levels.size())]));
+  }
+  return out;
+}
+
+std::vector<int> random_levels(util::Rng& rng) {
+  std::vector<int> levels;
+  const auto k = static_cast<std::size_t>(rng.uniform_int(1, 8));
+  while (levels.size() < k) {
+    levels.push_back(static_cast<int>(rng.uniform_int(0, 40)));
+  }
+  return levels;
+}
+
+::testing::AssertionResult same_histogram(const WaitHistogram& compact,
+                                          const obs::HistogramData& dense) {
+  const obs::HistogramData got = compact.to_dense();
+  if (got.count != dense.count || got.sum != dense.sum ||
+      got.min != dense.min || got.max != dense.max ||
+      got.buckets != dense.buckets) {
+    return ::testing::AssertionFailure()
+           << "to_dense() differs: count " << got.count << " vs "
+           << dense.count << ", sum " << got.sum << " vs " << dense.sum;
+  }
+  int held = 0;
+  for (int b = 0; b < obs::kHistogramBuckets; ++b) {
+    const std::int64_t want = dense.buckets[static_cast<std::size_t>(b)];
+    if (want != 0) ++held;
+    if (compact.bucket(b) != want) {
+      return ::testing::AssertionFailure() << "bucket " << b << " differs";
+    }
+  }
+  if (compact.spilled() != (held > WaitHistogram::kInlineBuckets)) {
+    return ::testing::AssertionFailure()
+           << "representation is not canonical: " << held
+           << " buckets, spilled=" << compact.spilled();
+  }
+  if (WaitHistogram::from_dense(dense) != compact) {
+    return ::testing::AssertionFailure() << "from_dense() round trip differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(WaitHistogramTest, MatchesDenseObserveOnRandomSequences) {
+  int spilled_runs = 0;
+  for (std::uint64_t shard = 0; shard < 300; ++shard) {
+    util::Rng rng(kBaseSeed ^ (0x4157 + shard));
+    const std::vector<int> levels = random_levels(rng);
+    const std::vector<std::int64_t> waits = random_waits(
+        rng, levels, static_cast<std::size_t>(rng.uniform_int(0, 60)));
+    WaitHistogram compact;
+    obs::HistogramData dense;
+    ASSERT_TRUE(same_histogram(compact, dense));
+    for (std::size_t i = 0; i < waits.size(); ++i) {
+      compact.observe(waits[i]);
+      dense.observe(waits[i]);
+      ASSERT_TRUE(same_histogram(compact, dense))
+          << "shard " << shard << " after observation " << i;
+    }
+    if (compact.spilled()) ++spilled_runs;
+    compact.reset();
+    ASSERT_TRUE(same_histogram(compact, obs::HistogramData{}));
+  }
+  EXPECT_GT(spilled_runs, 50) << "the corpus must exercise the spill path";
+}
+
+// Observing a prefix, then one period S, then jumping n periods must equal
+// observing the prefix followed by n + 1 copies of S — whether the spill
+// happens in the prefix, inside the period, or not at all.
+TEST(WaitHistogramTest, AdvancePeriodsMatchesRepeatedObserve) {
+  int inline_inline = 0, inline_spilled = 0, spilled_spilled = 0;
+  for (std::uint64_t shard = 0; shard < 600; ++shard) {
+    util::Rng rng(kBaseSeed ^ (0xad7a + shard));
+    const std::vector<int> levels = random_levels(rng);
+    const std::vector<std::int64_t> prefix = random_waits(
+        rng, levels, static_cast<std::size_t>(rng.uniform_int(0, 12)));
+    const std::vector<std::int64_t> period = random_waits(
+        rng, levels, static_cast<std::size_t>(rng.uniform_int(1, 10)));
+    const std::int64_t n = rng.uniform_int(1, 1000);
+
+    WaitHistogram compact;
+    obs::HistogramData dense;
+    for (const std::int64_t w : prefix) {
+      compact.observe(w);
+      dense.observe(w);
+    }
+    const WaitHistogram start = compact;
+    for (std::int64_t rep = 0; rep <= n; ++rep) {
+      for (const std::int64_t w : period) dense.observe(w);
+    }
+    for (const std::int64_t w : period) compact.observe(w);
+    if (start.spilled()) {
+      ++spilled_spilled;
+    } else if (compact.spilled()) {
+      ++inline_spilled;
+    } else {
+      ++inline_inline;
+    }
+    compact.advance_periods(start, n);
+    ASSERT_TRUE(same_histogram(compact, dense))
+        << "shard " << shard << " (n = " << n << ")";
+  }
+  EXPECT_GT(inline_inline, 20);
+  EXPECT_GT(inline_spilled, 20);
+  EXPECT_GT(spilled_spilled, 20);
+}
+
+TEST(WaitHistogramTest, CopiesOwnTheirSpilledBlock) {
+  WaitHistogram spilled;
+  for (std::int64_t v = 0; v < 40; v += 3) spilled.observe(v);
+  ASSERT_TRUE(spilled.spilled());
+  WaitHistogram small;
+  small.observe(5);
+
+  WaitHistogram copy = spilled;
+  EXPECT_TRUE(copy == spilled);
+  copy.observe(1000);
+  EXPECT_FALSE(copy == spilled);
+  EXPECT_EQ(spilled.bucket(obs::bucket_index(1000)), 0);
+
+  // Assignment in every direction: spilled over inline, inline over
+  // spilled, spilled over spilled (the period-snapshot reuse path).
+  WaitHistogram target = small;
+  target = spilled;
+  EXPECT_TRUE(target == spilled);
+  target = small;
+  EXPECT_TRUE(target == small);
+  EXPECT_FALSE(target.spilled());
+  target = spilled;
+  target = copy;
+  EXPECT_TRUE(target == copy);
+  copy.observe(7);
+  EXPECT_FALSE(target == copy);
 }
 
 // ---- calendar queue unit coverage -------------------------------------------

@@ -15,6 +15,7 @@
 #include "tmg/cycle_ratio.h"
 #include "tmg/marked_graph.h"
 #include "tmg/workspace.h"
+#include "util/str_cat.h"
 
 namespace ermes::tmg {
 namespace {
@@ -121,7 +122,7 @@ TEST(CsrGraph, StructureChangesAreDetected) {
 TEST(CsrGraph, MarkedGraphCompileMirrorsToRatioGraph) {
   MarkedGraph g;
   for (int t = 0; t < 3; ++t) {
-    g.add_transition("t" + std::to_string(t), 2 + 3 * t);
+    g.add_transition(util::str_cat("t", t), 2 + 3 * t);
   }
   g.add_place(0, 1, 1);
   g.add_place(1, 2, 0);

@@ -30,6 +30,7 @@
 #include "svc/render.h"
 #include "svc/server.h"
 #include "sysmodel/builder.h"
+#include "util/str_cat.h"
 
 namespace ermes::svc {
 namespace {
@@ -1043,7 +1044,7 @@ TEST(Server, ServesConcurrentClientsOverUnixSocket) {
       }
       for (int r = 0; r < kRequestsPerClient; ++r) {
         const std::string id =
-            "c" + std::to_string(c) + "r" + std::to_string(r);
+            util::str_cat("c", c, "r", r);
         const ResponseView view = client->call(
             encode_request(Op::kAnalyze, JsonValue::string(id), soc));
         if (!view.ok || !view.success ||
