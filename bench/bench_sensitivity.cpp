@@ -9,7 +9,7 @@
 #include "analysis/sensitivity.h"
 #include "apps/mpeg2/characterization.h"
 #include "ordering/channel_ordering.h"
-#include "sim/system_sim.h"
+#include "sim/compiled.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -40,8 +40,12 @@ int main() {
 
   // Cross-check with measured stalls: simulate and report the stall-heavy
   // channels (where the circuits wait for each other).
-  sim::Kernel kernel = sim::build_kernel(sys);
-  kernel.run(sys.find_channel("bitstream"), 32);
+  const sim::CompiledSim compiled(sys);
+  sim::CompiledSim::Instance instance(compiled);
+  sim::BatchOptions opts;
+  opts.observe = sys.find_channel("bitstream");
+  opts.target_transfers = 32;
+  const sim::ScenarioResult run = instance.run({}, opts);
   util::Table stalls({"channel", "producer stall", "consumer stall"});
   struct Row {
     sysmodel::ChannelId c;
@@ -49,16 +53,18 @@ int main() {
   };
   std::vector<Row> rows;
   for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
-    const sim::ChannelState& chan = kernel.channel(c);
-    rows.push_back({c, chan.producer_stall_cycles + chan.consumer_stall_cycles});
+    const sim::ScenarioChannelStats& chan =
+        run.channels[static_cast<std::size_t>(c)];
+    rows.push_back({c, chan.put_wait_cycles + chan.get_wait_cycles});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.total > b.total; });
   for (int i = 0; i < 8 && i < static_cast<int>(rows.size()); ++i) {
-    const sim::ChannelState& chan = kernel.channel(rows[static_cast<std::size_t>(i)].c);
-    stalls.add_row({chan.name,
-                    std::to_string(chan.producer_stall_cycles),
-                    std::to_string(chan.consumer_stall_cycles)});
+    const sysmodel::ChannelId c = rows[static_cast<std::size_t>(i)].c;
+    const sim::ScenarioChannelStats& chan =
+        run.channels[static_cast<std::size_t>(c)];
+    stalls.add_row({sys.channel_name(c), std::to_string(chan.put_wait_cycles),
+                    std::to_string(chan.get_wait_cycles)});
   }
   std::printf("\n-- stall-heaviest channels (32 frames simulated) --\n%s",
               stalls.to_text(2).c_str());

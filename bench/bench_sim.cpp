@@ -1,6 +1,7 @@
 // Compiled batch simulation: sim::simulate_batch on one CompiledSim vs k
-// serial legacy Kernel runs (model copy + build_kernel + run per scenario —
-// the pre-compiled sweep path).
+// serial runs of the reference event-heap kernel (tests/sim_reference:
+// model copy + build_kernel + run per scenario — the pre-compiled sweep
+// path).
 //
 // Workload: a generate_soc system (>= 512 processes, feedback loops and
 // reconvergent paths included) swept under k >= 64 FIFO-capacity scenarios:
@@ -10,7 +11,7 @@
 // deadlocking — the run measures steady-state simulation, not bail-outs.
 //
 // Every scenario asserts bit-identity of the compiled result against the
-// legacy Kernel oracle (events, final marking, stall accounting, histogram
+// reference kernel (events, final marking, stall accounting, histogram
 // buckets — see sim/compiled.h). The run fails on any mismatch or when the
 // batch speedup falls below 4x, asserted in --smoke too. The floor holds
 // even single-threaded: the string-free core runs ~2x the kernel's event
@@ -34,6 +35,7 @@
 
 #include "exec/thread_pool.h"
 #include "sim/compiled.h"
+#include "sim_reference/bridge.h"
 #include "svc/json.h"
 #include "synth/generator.h"
 #include "util/rng.h"

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "ordering/channel_ordering.h"
-#include "sim/system_sim.h"
+#include "sim/compiled.h"
 #include "sim/trace.h"
 #include "util/table.h"
 #include "sysmodel/builder.h"
@@ -19,14 +19,18 @@ using namespace ermes;
 namespace {
 
 void trace_run(const sysmodel::SystemModel& sys, const std::string& path) {
-  sim::Kernel kernel = sim::build_kernel(sys);
-  sim::Tracer tracer(kernel);
-  const sim::RunResult run = kernel.run(sys.find_channel("h"), 40);
+  const sim::CompiledSim compiled(sys);
+  sim::CompiledSim::Instance instance(compiled);
+  sim::Tracer tracer(sys, instance);
+  sim::BatchOptions opts;
+  opts.observe = sys.find_channel("h");
+  opts.target_transfers = 40;
+  const sim::ScenarioResult run = instance.run({}, opts);
   std::ofstream out(path);
   out << tracer.to_vcd();
   std::int64_t stall_total = 0;
-  for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
-    stall_total += kernel.process(p).stall_cycles;
+  for (const sim::ScenarioProcessStats& proc : run.processes) {
+    stall_total += proc.stall_cycles;
   }
   std::printf("  %-24s %s cycles/item, %lld stall cycles, %zu events -> %s\n",
               path.c_str(),

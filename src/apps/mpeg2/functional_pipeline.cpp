@@ -13,7 +13,8 @@
 #include "apps/mpeg2/kernels/vlc.h"
 #include "apps/mpeg2/kernels/zigzag.h"
 #include "ordering/channel_ordering.h"
-#include "sim/system_sim.h"
+#include "sim/behavior.h"
+#include "sim/compiled.h"
 #include "sysmodel/builder.h"
 
 namespace ermes::mpeg2 {
@@ -455,11 +456,13 @@ SystemModel make_functional_pipeline_model(const PipelineConfig& config) {
   return sys;
 }
 
-PipelineResult run_functional_pipeline(const PipelineConfig& config) {
+PipelineSetup make_functional_pipeline(const PipelineConfig& config) {
   assert(config.width % kBlock == 0 && config.height % kBlock == 0);
   const Geometry geo{config.width, config.height, config.frames};
 
-  SystemModel sys = make_functional_pipeline_model(config);
+  PipelineSetup setup;
+  SystemModel& sys = setup.sys;
+  sys = make_functional_pipeline_model(config);
   if (config.reorder_channels) {
     ordering::apply_ordering(sys, ordering::channel_ordering(sys));
   }
@@ -480,8 +483,8 @@ PipelineResult run_functional_pipeline(const PipelineConfig& config) {
   ch.ref_mc = sys.find_channel("ref_mc");
   ch.bits_snk = sys.find_channel("bits_snk");
 
-  std::vector<std::unique_ptr<sim::Behavior>> behaviors(
-      static_cast<std::size_t>(sys.num_processes()));
+  std::vector<std::unique_ptr<sim::Behavior>>& behaviors = setup.behaviors;
+  behaviors.resize(static_cast<std::size_t>(sys.num_processes()));
   auto set = [&](const char* name, std::unique_ptr<sim::Behavior> behavior) {
     behaviors[static_cast<std::size_t>(sys.find_process(name))] =
         std::move(behavior);
@@ -504,18 +507,33 @@ PipelineResult run_functional_pipeline(const PipelineConfig& config) {
   SnkBehavior* snk_ptr = snk_behavior.get();
   set("snk", std::move(snk_behavior));
 
-  sim::Kernel kernel = sim::build_kernel(sys, std::move(behaviors));
-  const sim::RunResult run =
-      kernel.run(ch.bits_snk, geo.total_blocks());
+  setup.observe = ch.bits_snk;
+  setup.blocks = geo.total_blocks();
+  setup.total_bits = [vlc_ptr] { return vlc_ptr->total_bits(); };
+  setup.psnr_db = [snk_ptr] { return snk_ptr->psnr_db(); };
+  return setup;
+}
+
+PipelineResult run_functional_pipeline(const PipelineConfig& config) {
+  PipelineSetup setup = make_functional_pipeline(config);
+  const sim::CompiledSim compiled(setup.sys);
+  sim::CompiledSim::Instance instance(compiled);
+  sim::BehaviorObserver observer(setup.sys, std::move(setup.behaviors));
+  instance.set_observer(&observer);
+  sim::BatchOptions opts;
+  opts.observe = setup.observe;
+  opts.target_transfers = setup.blocks;
+  const sim::ScenarioResult run = instance.run({}, opts);
 
   PipelineResult result;
-  result.deadlocked = run.deadlock.deadlocked;
+  result.deadlocked = run.deadlocked;
   result.blocks_encoded = run.observed_count;
-  result.total_bits = vlc_ptr->total_bits();
+  result.total_bits = setup.total_bits();
   result.cycles = run.cycles;
   result.measured_cycle_time = run.measured_cycle_time;
-  result.psnr_db = snk_ptr->psnr_db();
-  const analysis::PerformanceReport report = analysis::analyze_system(sys);
+  result.psnr_db = setup.psnr_db();
+  const analysis::PerformanceReport report =
+      analysis::analyze_system(setup.sys);
   result.predicted_cycle_time = report.live ? report.cycle_time : 0.0;
   return result;
 }

@@ -1,10 +1,11 @@
 #pragma once
-// Functional MPEG-2-style pipeline on the simulation kernel.
+// Functional MPEG-2-style pipeline on the simulation engine.
 //
 // Where topology.h models the paper's 26-process encoder at the performance
 // level, this module wires *actual data-processing behaviors* (DCT,
 // quantization, VLC, motion estimation, reconstruction loop) onto blocking
-// channels and runs them on the cycle-accurate kernel. The sink is a full
+// channels and runs them on the cycle-accurate engine (sim::CompiledSim with
+// a sim::BehaviorObserver carrying the payloads). The sink is a full
 // decoder: it reconstructs the stream and reports PSNR against the source,
 // so the run verifies functional correctness of the whole communication
 // fabric (a deadlock or mis-ordered rendezvous shows up immediately).
@@ -14,7 +15,11 @@
 // the same structural hazard the paper's case study exhibits.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
 
+#include "sim/behavior.h"
 #include "sysmodel/system.h"
 
 namespace ermes::mpeg2 {
@@ -45,7 +50,7 @@ struct PipelineResult {
 };
 
 /// The timing model of the pipeline (latencies estimated per 8x8 block).
-/// Process/channel ids feed build_kernel and the analytic tools alike.
+/// Process/channel ids feed the simulator and the analytic tools alike.
 sysmodel::SystemModel make_functional_pipeline_model(
     const PipelineConfig& config);
 
@@ -54,7 +59,22 @@ sysmodel::SystemModel make_functional_pipeline_model(
 std::uint8_t source_pixel(const PipelineConfig& config, std::int32_t frame,
                           std::int32_t x, std::int32_t y);
 
-/// Builds, runs, decodes, and scores the pipeline.
+/// Everything an engine needs to run the pipeline: the timing model after
+/// the config's optional reordering, its behaviours (index = ProcessId),
+/// the channel whose transfers count encoded blocks, the block count, and
+/// readers of the data results the behaviours accumulate (valid while the
+/// behaviours live, wherever they were moved).
+struct PipelineSetup {
+  sysmodel::SystemModel sys;
+  std::vector<std::unique_ptr<sim::Behavior>> behaviors;
+  sysmodel::ChannelId observe = sysmodel::kInvalidChannel;
+  std::int64_t blocks = 0;
+  std::function<std::int64_t()> total_bits;
+  std::function<double()> psnr_db;
+};
+PipelineSetup make_functional_pipeline(const PipelineConfig& config);
+
+/// Builds, runs (sim::CompiledSim), decodes, and scores the pipeline.
 PipelineResult run_functional_pipeline(const PipelineConfig& config);
 
 }  // namespace ermes::mpeg2

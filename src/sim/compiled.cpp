@@ -11,7 +11,6 @@
 #include "exec/worker_slots.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sim/system_sim.h"
 #include "util/log.h"
 #include "util/period.h"
 
@@ -22,14 +21,9 @@ namespace {
 constexpr std::int64_t kUnboundedSlots =
     std::numeric_limits<std::int64_t>::max();
 
-// Matches simulate_system's default: observe the first input channel of the
-// first sink process, falling back to channel 0.
-SimChannelId default_observe_channel(const sysmodel::SystemModel& sys) {
-  const std::vector<sysmodel::ProcessId> sinks = sys.sinks();
-  if (!sinks.empty() && !sys.input_order(sinks.front()).empty()) {
-    return sys.input_order(sinks.front()).front();
-  }
-  return sys.num_channels() > 0 ? 0 : -1;
+// Latencies are non-negative; sums saturate instead of wrapping.
+std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
+  return a > kUnboundedSlots - b ? kUnboundedSlots : a + b;
 }
 
 inline std::uint32_t wake_key(SimProcessId p) {
@@ -41,16 +35,44 @@ inline std::uint32_t transfer_key(SimChannelId c) {
 
 }  // namespace
 
+SimChannelId default_observe_channel(const sysmodel::SystemModel& sys) {
+  const std::vector<sysmodel::ProcessId> sinks = sys.sinks();
+  if (!sinks.empty() && !sys.input_order(sinks.front()).empty()) {
+    return sys.input_order(sinks.front()).front();
+  }
+  return sys.num_channels() > 0 ? 0 : -1;
+}
+
+std::int64_t cycle_limit(std::int64_t latency_sum, std::int64_t items) {
+  constexpr std::int64_t kFloor = 100'000'000;
+  const std::int64_t rounds = std::max<std::int64_t>(items, 0) + 1;
+  if (latency_sum > kUnboundedSlots / rounds) return kUnboundedSlots;
+  return std::max(kFloor, rounds * latency_sum);
+}
+
+std::int64_t default_cycle_limit(const sysmodel::SystemModel& sys,
+                                 std::int64_t items) {
+  std::int64_t sum = 0;
+  for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+    sum = saturating_add(sum, sys.latency(p));
+  }
+  for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
+    sum = saturating_add(sum, sys.channel_latency(c));
+  }
+  return cycle_limit(sum, items);
+}
+
 CompiledSim::CompiledSim(const sysmodel::SystemModel& sys) {
   const std::int32_t num_procs = sys.num_processes();
   const std::int32_t num_chans = sys.num_channels();
   code_begin_.reserve(static_cast<std::size_t>(num_procs) + 1);
   code_begin_.push_back(0);
-  // Same program shapes as system_sim's program_for(): sources run
-  // puts-then-compute, primed processes emit their outputs before the first
-  // read, everyone else runs the canonical three-phase loop. Compute
-  // statements store the process id so the scenario's latency vector is the
-  // single source of compute cycles.
+  // Program shapes: sources run puts-then-compute (ready to produce at time
+  // 0, the environment "always ready to provide new input data"), primed
+  // processes emit their outputs before the first read (the ring token sits
+  // on the first put-place), everyone else runs the canonical three-phase
+  // loop gets / compute / puts. Compute statements store the process id so
+  // the scenario's latency vector is the single source of compute cycles.
   for (sysmodel::ProcessId p = 0; p < num_procs; ++p) {
     const auto& gets = sys.input_order(p);
     const auto& puts = sys.output_order(p);
@@ -102,6 +124,7 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
   const auto num_procs = static_cast<std::size_t>(sim_.num_processes());
   const auto num_chans = static_cast<std::size_t>(sim_.num_channels());
   std::int64_t max_latency = 0;
+  latency_sum_ = 0;
   if (scenario.process_latency.empty()) {
     std::copy(sim_.base_proc_latency_.begin(), sim_.base_proc_latency_.end(),
               proc_latency_.begin());
@@ -112,6 +135,7 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
   }
   for (const std::int64_t lat : proc_latency_) {
     max_latency = std::max(max_latency, lat);
+    latency_sum_ = saturating_add(latency_sum_, lat);
   }
 
   for (std::size_t p = 0; p < num_procs; ++p) {
@@ -137,6 +161,7 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
     chan.capacity =
         caps[c] == sysmodel::kUnboundedCapacity ? kUnboundedSlots : caps[c];
     max_latency = std::max(max_latency, chan.latency);
+    latency_sum_ = saturating_add(latency_sum_, chan.latency);
   }
   for (WaitHistogram& h : put_wait_) h.reset();
   for (WaitHistogram& h : get_wait_) h.reset();
@@ -217,10 +242,9 @@ bool CompiledSim::Instance::matches_period_snapshot() const {
 // times are replayed arithmetically. Histogram min/max and peak occupancy
 // are already final — the compared interval contains at least one full
 // period, so later periods only revisit values it produced. The remainder
-// (at least one observation, kept so the run ends exactly like the
-// kernel's) is then simulated normally.
-bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
-                                            const BatchOptions& opts) {
+// (at least one observation, kept so the run ends exactly like a full
+// run) is then simulated normally.
+bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target) {
   const std::int64_t obs_now =
       chans_[static_cast<std::size_t>(observe_)].transfers_completed;
   const std::int64_t d_obs = obs_now - snap_obs_;
@@ -229,9 +253,9 @@ bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
   assert(d_obs > 0 && period > 0 && remaining > 0);
   std::int64_t n = (remaining - 1) / d_obs;
   // Never jump past the cycle limit: skipped instants all lie at or before
-  // now + n*period, so capping there means the kernel would not have
+  // now + n*period, so capping there means a full run would not have
   // tripped hit_cycle_limit anywhere in the skipped range either.
-  n = std::min(n, (opts.max_cycles - now_) / period);
+  n = std::min(n, (max_cycles_ - now_) / period);
   if (n <= 0) return false;
   const std::int64_t shift = n * period;
 
@@ -291,7 +315,7 @@ bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
 void CompiledSim::Instance::push_event(std::int64_t time, std::uint32_t key) {
   if (in_instant_ && time == now_) {
     // Same-instant event born while the instant is processed: it joins the
-    // instant heap, exactly as it would join the kernel's time-sorted heap.
+    // instant heap and pops in (index, kind) order with the rest.
     scratch_.push_back(key);
     std::push_heap(scratch_.begin(), scratch_.end(),
                    std::greater<std::uint32_t>());
@@ -300,11 +324,24 @@ void CompiledSim::Instance::push_event(std::int64_t time, std::uint32_t key) {
   queue_.push(time, key);
 }
 
-void CompiledSim::Instance::set_status(SimProcessId p, Status status) {
+void CompiledSim::Instance::set_status(SimProcessId p, ProcessStatus status) {
   ProcHot& proc = procs_[static_cast<std::size_t>(p)];
-  proc.cycles_in_status[proc.status] += now_ - proc.status_since;
+  proc.cycles_in_status[static_cast<std::size_t>(proc.status)] +=
+      now_ - proc.status_since;
   proc.status_since = now_;
   proc.status = status;
+}
+
+void CompiledSim::Instance::note_status(SimProcessId p) const {
+  if (observer_ == nullptr) [[likely]] return;
+  observer_->on_status(now_, p, procs_[static_cast<std::size_t>(p)].status);
+}
+
+void CompiledSim::Instance::note_occupancy(SimChannelId c) const {
+  if (observer_ == nullptr) [[likely]] return;
+  const ChanHot& chan = chans_[static_cast<std::size_t>(c)];
+  observer_->on_occupancy(
+      now_, c, chan.capacity > 0 ? chan.buffered : chan.transfer_in_progress);
 }
 
 void CompiledSim::Instance::record_observation(SimChannelId c) {
@@ -323,6 +360,7 @@ void CompiledSim::Instance::advance(SimProcessId p) {
     if (proc.pc >= end) {
       proc.pc = begin;
       ++proc.loop_iterations;
+      if (observer_ != nullptr) [[unlikely]] observer_->on_loop_end(p);
     }
     const Stmt stmt = sim_.code_[static_cast<std::size_t>(proc.pc)];
     switch (stmt.kind) {
@@ -331,11 +369,13 @@ void CompiledSim::Instance::advance(SimProcessId p) {
             proc_latency_[static_cast<std::size_t>(stmt.arg)];
         proc.compute_cycles += cycles;
         if (cycles == 0) {
+          if (observer_ != nullptr) [[unlikely]] observer_->on_compute(p);
           ++proc.pc;
           continue;
         }
         set_status(p, kComputing);
         proc.wake_at = now_ + cycles;
+        note_status(p);
         push_event(proc.wake_at, wake_key(p));
         return;
       }
@@ -346,6 +386,7 @@ void CompiledSim::Instance::advance(SimProcessId p) {
         chan.consumer_wait_since = now_;
         set_status(p, kWaiting);
         proc.waiting_on = c;
+        note_status(p);
         if (chan.capacity > 0) {
           try_fifo_get(c);
           if (proc.status != kReady) return;
@@ -362,6 +403,7 @@ void CompiledSim::Instance::advance(SimProcessId p) {
         chan.producer_wait_since = now_;
         set_status(p, kWaiting);
         proc.waiting_on = c;
+        note_status(p);
         if (chan.capacity > 0) {
           try_fifo_put(c);
           return;
@@ -392,11 +434,15 @@ void CompiledSim::Instance::try_rendezvous(SimChannelId c) {
   get_wait_[static_cast<std::size_t>(c)].observe(consumer_stall);
   if (producer_stall > 0) ++chan.blocked_puts;
   if (consumer_stall > 0) ++chan.blocked_gets;
+  if (observer_ != nullptr) [[unlikely]] observer_->on_put_begin(c);
   chan.peak_occupancy = std::max<std::int64_t>(chan.peak_occupancy, 1);
   set_status(prod, kTransferring);
   set_status(cons, kTransferring);
   procs_[static_cast<std::size_t>(prod)].wake_at =
       procs_[static_cast<std::size_t>(cons)].wake_at = now_ + chan.latency;
+  note_status(prod);
+  note_status(cons);
+  note_occupancy(c);
   push_event(now_ + chan.latency, transfer_key(c));
 }
 
@@ -417,8 +463,10 @@ void CompiledSim::Instance::try_fifo_put(SimChannelId c) {
   ++chan.writes_in_flight;
   chan.peak_occupancy =
       std::max(chan.peak_occupancy, chan.buffered + chan.writes_in_flight);
+  if (observer_ != nullptr) [[unlikely]] observer_->on_put_begin(c);
   set_status(prod, kTransferring);
   procs_[static_cast<std::size_t>(prod)].wake_at = now_ + chan.latency;
+  note_status(prod);
   push_event(now_ + chan.latency, transfer_key(c));
 }
 
@@ -433,9 +481,12 @@ void CompiledSim::Instance::try_fifo_get(SimChannelId c) {
   if (stall > 0) ++chan.blocked_gets;
   chan.consumer_waiting = 0;
   --chan.buffered;
+  if (observer_ != nullptr) [[unlikely]] observer_->on_get(c);
   record_observation(c);
   set_status(cons, kReady);
   procs_[static_cast<std::size_t>(cons)].waiting_on = -1;
+  note_status(cons);
+  note_occupancy(c);
   // A slot just freed: restart a blocked producer.
   try_fifo_put(c);
 }
@@ -446,6 +497,8 @@ void CompiledSim::Instance::complete_fifo_write(SimChannelId c) {
   chan.transfer_in_progress = 0;
   --chan.writes_in_flight;
   ++chan.buffered;
+  if (observer_ != nullptr) [[unlikely]] observer_->on_write_landed(c);
+  note_occupancy(c);
 
   const SimProcessId prod = chan.producer;
   {
@@ -465,12 +518,16 @@ void CompiledSim::Instance::complete_fifo_write(SimChannelId c) {
     if (stall > 0) ++chan.blocked_gets;
     chan.consumer_waiting = 0;
     --chan.buffered;
+    if (observer_ != nullptr) [[unlikely]] observer_->on_get(c);
     record_observation(c);
     set_status(cons, kReady);
     cp.waiting_on = -1;
+    note_status(cons);
+    note_occupancy(c);
     ++cp.pc;
     advance(cons);
   }
+  note_status(prod);
   advance(prod);
 }
 
@@ -484,6 +541,7 @@ void CompiledSim::Instance::complete_transfer(SimChannelId c) {
   chan.transfer_in_progress = 0;
   chan.producer_waiting = chan.consumer_waiting = 0;
   record_observation(c);
+  if (observer_ != nullptr) [[unlikely]] observer_->on_get(c);
 
   const SimProcessId prod = chan.producer;
   const SimProcessId cons = chan.consumer;
@@ -491,6 +549,9 @@ void CompiledSim::Instance::complete_transfer(SimChannelId c) {
   set_status(cons, kReady);
   procs_[static_cast<std::size_t>(prod)].waiting_on = -1;
   procs_[static_cast<std::size_t>(cons)].waiting_on = -1;
+  note_status(prod);
+  note_status(cons);
+  note_occupancy(c);
   ++procs_[static_cast<std::size_t>(prod)].pc;
   ++procs_[static_cast<std::size_t>(cons)].pc;
   advance(prod);
@@ -540,7 +601,7 @@ void CompiledSim::Instance::snapshot(ScenarioResult& result) const {
     const ProcHot& proc = procs_[p];
     ScenarioProcessStats& out = result.processes[p];
     out.pc = proc.pc - sim_.code_begin_[p];
-    out.status = proc.status;
+    out.status = static_cast<std::uint8_t>(proc.status);
     out.loop_iterations = proc.loop_iterations;
     out.stall_cycles = proc.stall_cycles;
     out.compute_cycles = proc.compute_cycles;
@@ -566,8 +627,12 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
                                           const BatchOptions& opts) {
   prepare(scenario);
   observe_ = opts.observe >= 0 ? opts.observe : sim_.default_observe_;
+  max_cycles_ = opts.max_cycles < 0
+                    ? cycle_limit(latency_sum_, opts.target_transfers)
+                    : opts.max_cycles;
   ScenarioResult result;
 
+  if (observer_ != nullptr) observer_->on_reset();
   const std::int32_t num_procs = sim_.num_processes();
   for (SimProcessId p = 0; p < num_procs; ++p) advance(p);
 
@@ -577,8 +642,10 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
   // reject on queue size first); on a recurrence, jump whole periods at
   // once. Snapshots are retaken on a doubling observation cadence so one
   // eventually lands past the transient with a window wide enough to span
-  // a full period (Brent's cycle-detection schedule).
-  bool watch_period = opts.detect_period && observe_ >= 0;
+  // a full period (Brent's cycle-detection schedule). An observer sees
+  // every event, so it switches the watch off.
+  bool watch_period =
+      opts.detect_period && observe_ >= 0 && observer_ == nullptr;
   std::int64_t last_obs_seen = 0;
   std::int64_t next_snap_obs = 4;
   while (true) {
@@ -598,7 +665,7 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
         // Even a declined jump (tail already shorter than one period, or
         // the cycle limit is closer than that) means there is nothing
         // further to skip.
-        try_period_jump(observed_target, opts);
+        try_period_jump(observed_target);
         watch_period = false;
       } else if (obs_now >= next_snap_obs) {
         take_period_snapshot();
@@ -608,8 +675,8 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
     scratch_.clear();
     // One wheel scan finds and drains the next instant (or reports it past
     // the horizon without draining).
-    const std::int64_t next_time = queue_.pop_next(opts.max_cycles, scratch_);
-    if (next_time > opts.max_cycles) {
+    const std::int64_t next_time = queue_.pop_next(max_cycles_, scratch_);
+    if (next_time > max_cycles_) {
       result.hit_cycle_limit = true;
       break;
     }
@@ -632,7 +699,9 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
         const auto p = static_cast<SimProcessId>(key >> 1);
         const ProcHot& proc = procs_[static_cast<std::size_t>(p)];
         if (proc.status == kComputing && proc.wake_at == now_) {
+          if (observer_ != nullptr) [[unlikely]] observer_->on_compute(p);
           set_status(p, kReady);
+          note_status(p);
           ++procs_[static_cast<std::size_t>(p)].pc;
           advance(p);
         }
@@ -654,7 +723,8 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
   // Close the open status intervals so the per-status splits sum to now_.
   for (std::size_t p = 0; p < static_cast<std::size_t>(num_procs); ++p) {
     ProcHot& proc = procs_[p];
-    proc.cycles_in_status[proc.status] += now_ - proc.status_since;
+    proc.cycles_in_status[static_cast<std::size_t>(proc.status)] +=
+        now_ - proc.status_since;
     proc.status_since = now_;
   }
 
@@ -694,79 +764,6 @@ std::vector<ScenarioResult> simulate_batch(
       },
       /*grain=*/1);
   return results;
-}
-
-ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
-                                 const SimScenario& scenario,
-                                 const BatchOptions& opts) {
-  sysmodel::SystemModel model = sys;
-  if (!scenario.process_latency.empty()) {
-    assert(scenario.process_latency.size() ==
-           static_cast<std::size_t>(sys.num_processes()));
-    for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
-      model.set_latency(p, scenario.process_latency[static_cast<std::size_t>(p)]);
-    }
-  }
-  if (!scenario.channel_latency.empty()) {
-    assert(scenario.channel_latency.size() ==
-           static_cast<std::size_t>(sys.num_channels()));
-    for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
-      model.set_channel_latency(
-          c, scenario.channel_latency[static_cast<std::size_t>(c)]);
-    }
-  }
-  if (!scenario.channel_capacity.empty()) {
-    assert(scenario.channel_capacity.size() ==
-           static_cast<std::size_t>(sys.num_channels()));
-    for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
-      model.set_channel_capacity(
-          c, scenario.channel_capacity[static_cast<std::size_t>(c)]);
-    }
-  }
-
-  Kernel kernel = build_kernel(model);
-  const SimChannelId observe =
-      opts.observe >= 0 ? opts.observe : default_observe_channel(model);
-  const RunResult run =
-      kernel.run(observe, opts.target_transfers, opts.max_cycles);
-
-  ScenarioResult result;
-  result.cycles = run.cycles;
-  result.observed_count = run.observed_count;
-  result.measured_cycle_time = run.measured_cycle_time;
-  result.throughput = run.throughput;
-  result.deadlocked = run.deadlock.deadlocked;
-  result.deadlock_at = run.deadlock.at_cycle;
-  result.deadlock_processes = run.deadlock.processes;
-  result.deadlock_channels = run.deadlock.channels;
-  result.hit_cycle_limit = run.hit_cycle_limit;
-  result.processes.resize(static_cast<std::size_t>(kernel.num_processes()));
-  result.channels.resize(static_cast<std::size_t>(kernel.num_channels()));
-  for (SimProcessId p = 0; p < kernel.num_processes(); ++p) {
-    const ProcessState& proc = kernel.process(p);
-    ScenarioProcessStats& out = result.processes[static_cast<std::size_t>(p)];
-    out.pc = static_cast<std::int64_t>(proc.pc);
-    out.status = static_cast<std::uint8_t>(proc.status);
-    out.loop_iterations = proc.loop_iterations;
-    out.stall_cycles = proc.stall_cycles;
-    out.compute_cycles = proc.compute_cycles;
-    out.cycles_in_status = proc.cycles_in_status;
-  }
-  for (SimChannelId c = 0; c < kernel.num_channels(); ++c) {
-    const ChannelState& chan = kernel.channel(c);
-    ScenarioChannelStats& out = result.channels[static_cast<std::size_t>(c)];
-    out.transfers = chan.transfers_completed;
-    out.last_transfer_at = chan.last_transfer_completed_at;
-    out.buffered = static_cast<std::int64_t>(chan.buffer.size());
-    out.blocked_puts = chan.blocked_puts;
-    out.blocked_gets = chan.blocked_gets;
-    out.put_wait_cycles = chan.producer_stall_cycles;
-    out.get_wait_cycles = chan.consumer_stall_cycles;
-    out.peak_occupancy = chan.peak_occupancy;
-    out.put_wait = WaitHistogram::from_dense(chan.put_wait);
-    out.get_wait = WaitHistogram::from_dense(chan.get_wait);
-  }
-  return result;
 }
 
 namespace {

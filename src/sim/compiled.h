@@ -1,24 +1,28 @@
 #pragma once
-// Compiled batch simulation engine.
+// Compiled simulation engine: the one simulator of communication-centric
+// systems (blocking rendezvous and FIFO channels over three-phase process
+// loops).
 //
-// The legacy Kernel carries names, behaviors, deques of Packets, and a
-// std::function trace hook through every event — fine for one interactive
-// run, fatal for a sweep that simulates one structure under hundreds of
-// latency/capacity scenarios. CompiledSim is the simulator counterpart of
-// tmg::CsrGraph: the SystemModel is compiled once into string-free SoA
-// index arrays (flattened three-phase programs, channel endpoints, base
-// weights), and each run resolves a SimScenario's weight overrides against
-// that structure. Channel FIFOs become occupancy counters (timing-only
-// simulation never inspects payloads), and the event heap becomes a
-// bucketed calendar queue (sim/event_queue.h) with a binary-heap overflow
-// for sparse timelines.
+// The SystemModel is compiled once into string-free SoA index arrays
+// (flattened three-phase programs, channel endpoints, base weights), and
+// each run resolves a SimScenario's weight overrides against that
+// structure — the simulator counterpart of tmg::CsrGraph, so one structure
+// can be simulated under hundreds of latency/capacity scenarios. Channel
+// FIFOs are occupancy counters, and the event heap is a bucketed calendar
+// queue (sim/event_queue.h) with a binary-heap overflow for sparse
+// timelines. Events at one instant pop in (index, kind) order — process
+// wakes before transfer completions of the same index — so a run is a
+// function of the model and scenario alone.
 //
-// Contract: a CompiledSim run is bit-identical, step for step, to a legacy
-// Kernel run of the same model+scenario — same event tie-break
-// (time, index, kind), same stall accounting, same histograms, same
-// deadlock cycle. run_legacy_kernel() produces the oracle ScenarioResult
-// and results_bit_identical() is the comparison both the differential
-// suite and bench_sim enforce.
+// Names, payloads and waveforms stay out of the hot state: an Instance
+// reports its events to one optional SimObserver (sim/observer.h), which is
+// how the VCD tracer (sim/trace.h) and functional behaviours
+// (sim/behavior.h) ride along.
+//
+// Every run is checked for bit-identity against an independent event-heap
+// reference engine kept with the tests: same event order, same stall
+// accounting, same histograms, same deadlock cycle. results_bit_identical()
+// is the comparison the differential suite and bench_sim enforce.
 //
 // simulate_batch() sweeps k scenarios over one compiled structure on an
 // exec::ThreadPool: one reusable Instance per worker slot (allocations
@@ -31,7 +35,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/program.h"
+#include "sim/observer.h"
 #include "sim/stall_report.h"
 #include "sim/wait_histogram.h"
 #include "sysmodel/system.h"
@@ -56,7 +60,7 @@ struct SimScenario {
 /// Final per-process state + statistics, index-aligned with the model.
 struct ScenarioProcessStats {
   std::int64_t pc = 0;  // program counter within the process program
-  std::uint8_t status = 0;  // ProcessState::Status as int
+  std::uint8_t status = 0;  // ProcessStatus as int
   std::int64_t loop_iterations = 0;
   std::int64_t stall_cycles = 0;
   std::int64_t compute_cycles = 0;
@@ -76,9 +80,9 @@ struct ScenarioChannelStats {
   WaitHistogram get_wait;
 };
 
-/// Everything a Kernel run would report, as string-free PODs: the RunResult
-/// aggregates plus the full final marking and stall accounting. This is the
-/// unit of bit-identity between the two engines.
+/// Everything a run reports, as string-free PODs: the aggregates plus the
+/// full final marking and stall accounting. This is the unit of
+/// bit-identity against the reference engine.
 struct ScenarioResult {
   std::int64_t cycles = 0;
   std::int64_t observed_count = 0;
@@ -93,22 +97,43 @@ struct ScenarioResult {
   std::vector<ScenarioChannelStats> channels;
 };
 
+inline constexpr std::int64_t kDeriveCycleLimit = -1;
+
 struct BatchOptions {
   /// Channel whose completed transfers stop the run; -1 = the compiled
-  /// default (first input of the first sink, matching simulate_system).
+  /// default (default_observe_channel).
   SimChannelId observe = -1;
   std::int64_t target_transfers = 200;
-  std::int64_t max_cycles = 100'000'000;
+  /// Simulated-time limit. Negative (kDeriveCycleLimit, the default)
+  /// resolves it per run with cycle_limit() from the scenario's latencies.
+  std::int64_t max_cycles = kDeriveCycleLimit;
   /// Deterministic TMG runs settle into an exact periodic orbit. When true,
   /// the engine watches for a recurrence of its full (time-relative) state
   /// at observation boundaries and, on a hit, jumps whole periods at once:
   /// every counter and histogram advances by n x its per-period delta, all
   /// clocks shift by n x the period, and the tail is simulated normally.
-  /// The jump is exact — results stay bit-identical to a full Kernel run
-  /// (the differential suite and bench_sim assert this); turning it off
-  /// only forces the event loop to grind through every period.
+  /// The jump is exact — results stay bit-identical to a full run (the
+  /// differential suite and bench_sim assert this); turning it off only
+  /// forces the event loop to grind through every period. An attached
+  /// observer turns it off too: it must see every event.
   bool detect_period = true;
 };
+
+/// The default cycle limit of a run that stops after `items` observations
+/// when the process and channel latencies sum to `latency_sum`:
+/// max(1e8, (items + 1) * latency_sum), saturating at int64 max. Every
+/// cycle of a live TMG holds a token, so no cycle ratio exceeds the latency
+/// sum, and a live run delivers its items well inside the bound; the 1e8
+/// floor keeps the limit of small models where it always was.
+std::int64_t cycle_limit(std::int64_t latency_sum, std::int64_t items);
+
+/// The channel a run observes by default: the first input channel of the
+/// first sink process, falling back to channel 0 (-1 without channels).
+SimChannelId default_observe_channel(const sysmodel::SystemModel& sys);
+
+/// cycle_limit() over the model's own latencies.
+std::int64_t default_cycle_limit(const sysmodel::SystemModel& sys,
+                                 std::int64_t items);
 
 class CompiledSim {
  public:
@@ -130,21 +155,22 @@ class CompiledSim {
     explicit Instance(const CompiledSim& sim);
     ScenarioResult run(const SimScenario& scenario, const BatchOptions& opts);
 
+    /// Attaches `observer` (nullptr detaches) to every later run(). The
+    /// observer must outlive those runs; see sim/observer.h for the events.
+    void set_observer(SimObserver* observer) { observer_ = observer; }
+    SimObserver* observer() const { return observer_; }
+
    private:
-    enum Status : std::uint8_t {
-      kReady = 0,
-      kComputing = 1,
-      kWaiting = 2,
-      kTransferring = 3
-    };
+    using enum ProcessStatus;
 
     void prepare(const SimScenario& scenario);
     void take_period_snapshot();
     bool matches_period_snapshot() const;
-    bool try_period_jump(std::int64_t observed_target,
-                         const BatchOptions& opts);
+    bool try_period_jump(std::int64_t observed_target);
     void advance(SimProcessId p);
-    void set_status(SimProcessId p, Status status);
+    void set_status(SimProcessId p, ProcessStatus status);
+    void note_status(SimProcessId p) const;
+    void note_occupancy(SimChannelId c) const;
     void try_rendezvous(SimChannelId c);
     void complete_transfer(SimChannelId c);
     void try_fifo_put(SimChannelId c);
@@ -158,8 +184,8 @@ class CompiledSim {
     // Hot per-entity state is packed, not field-per-vector: one event
     // touches most of a process's (or channel's) fields together, so a
     // compact record costs one or two cache lines where parallel arrays
-    // cost one line *per field*. This is the kernel's AoS layout minus
-    // everything cold — names, deque<Packet>, behaviors, trace hooks.
+    // cost one line *per field*. Everything cold — names, payloads,
+    // waveforms — lives with the observer, not here.
     struct ProcHot {
       std::array<std::int64_t, 4> cycles_in_status{};
       std::int64_t wake_at = 0;
@@ -169,7 +195,7 @@ class CompiledSim {
       std::int64_t loop_iterations = 0;
       std::int32_t pc = 0;  // absolute index into sim_.code_
       std::int32_t waiting_on = -1;
-      std::uint8_t status = 0;
+      ProcessStatus status = kReady;
     };
     struct ChanHot {
       // First line: the transfer fast path.
@@ -180,7 +206,7 @@ class CompiledSim {
       std::uint8_t transfer_in_progress = 0;
       std::int64_t latency = 0;
       std::int64_t capacity = 0;  // scenario-resolved; unbounded -> int64 max
-      std::int64_t buffered = 0;  // replaces the kernel's deque<Packet>
+      std::int64_t buffered = 0;  // items in the FIFO
       std::int64_t writes_in_flight = 0;
       std::int64_t producer_wait_since = 0;
       std::int64_t consumer_wait_since = 0;
@@ -195,8 +221,11 @@ class CompiledSim {
     };
 
     const CompiledSim& sim_;
+    SimObserver* observer_ = nullptr;
 
     std::vector<std::int64_t> proc_latency_;  // scenario-resolved
+    std::int64_t latency_sum_ = 0;            // saturating, for cycle_limit()
+    std::int64_t max_cycles_ = 0;             // this run's resolved limit
     std::vector<ProcHot> procs_;
     std::vector<ChanHot> chans_;
     // Wait histograms are only touched when a wait episode closes — parked
@@ -208,7 +237,7 @@ class CompiledSim {
     CalendarQueue queue_;
     // Same-instant working set: pop_at() drains into scratch_, which is
     // heapified by key; events pushed for the current instant while it is
-    // being processed join the heap, reproducing the kernel's pop order.
+    // being processed join the heap, keeping the (index, kind) pop order.
     std::vector<std::uint32_t> scratch_;
     std::vector<std::int64_t> observed_times_;
     std::int64_t now_ = 0;
@@ -266,24 +295,19 @@ std::vector<ScenarioResult> simulate_batch(
     const CompiledSim& sim, const std::vector<SimScenario>& scenarios,
     const BatchOptions& opts = {}, exec::ThreadPool* pool = nullptr);
 
-/// The differential oracle: applies `scenario` to a copy of `sys`, runs the
-/// legacy Kernel, and snapshots the same ScenarioResult shape.
-ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
-                                 const SimScenario& scenario,
-                                 const BatchOptions& opts = {});
-
 /// Exact comparison: integers by value, doubles by bit pattern, histograms
 /// by count, sum, min, max and every bucket.
 bool results_bit_identical(const ScenarioResult& a, const ScenarioResult& b);
 
-/// Resolves names back in for reporting: the same StallReport shape
-/// collect_stalls() builds from a Kernel.
+/// Resolves names back in for reporting.
 StallReport to_stall_report(const sysmodel::SystemModel& sys,
                             const ScenarioResult& result);
 
 /// Merges one scenario's statistics into the global telemetry registry
-/// under `prefix`, mirroring Kernel::publish_metrics (plus per-channel
-/// peak-occupancy high-water gauges). No-op when telemetry is disabled.
+/// under `prefix`: counters like "<prefix>.blocked_puts", per-channel
+/// "<prefix>.channel.<name>.blocked_puts" and per-process
+/// "<prefix>.process.<name>.waiting_cycles", wait-time histograms, and
+/// peak-occupancy high-water gauges. No-op when telemetry is disabled.
 void publish_metrics(const sysmodel::SystemModel& sys,
                      const ScenarioResult& result,
                      std::string_view prefix = "sim");

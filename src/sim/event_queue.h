@@ -1,7 +1,7 @@
 #pragma once
 // Bucketed calendar (time-wheel) event queue for the compiled simulator.
 //
-// The kernel's event population is dense in time: almost every pending event
+// The engine's event population is dense in time: almost every pending event
 // lands within max_latency cycles of the current instant, because every
 // event is "wake at now + compute_latency" or "transfer done at now +
 // channel_latency". A calendar queue exploits that — a power-of-two wheel of
@@ -12,12 +12,12 @@
 // wheel as time advances.
 //
 // Events are packed u32 keys: (index << 1) | kind, with kind 0 = process
-// wake, 1 = transfer done. Ascending key order is exactly the legacy
-// Kernel's (index, kind) tie-break at one instant, which is what makes a
-// CompiledSim run bit-identical to a Kernel run: pop_at() hands back the
-// instant's events sorted by key, and same-instant events pushed *while the
-// instant is processed* are handled by the caller's instant heap (see
-// compiled.cpp), matching the kernel's same-time heap pops.
+// wake, 1 = transfer done. Ascending key order is the engine's (index, kind)
+// tie-break at one instant — the order the reference event-heap engine in
+// the tests pops, which is what keeps the two bit-identical: pop_at() hands
+// back the instant's events sorted by key, and same-instant events pushed
+// *while the instant is processed* are handled by the caller's instant heap
+// (see compiled.cpp).
 //
 // Window invariant: every wheel event's time lies in [low_, low_ + W).
 // Because the window is exactly W wide, a bucket holds at most one distinct

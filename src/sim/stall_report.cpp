@@ -19,41 +19,6 @@ std::string percent_of(std::int64_t part, std::int64_t whole) {
 
 }  // namespace
 
-StallReport collect_stalls(const Kernel& kernel) {
-  StallReport report;
-  report.cycles = kernel.now();
-  using Status = ProcessState::Status;
-  for (std::int32_t p = 0; p < kernel.num_processes(); ++p) {
-    const ProcessState& proc = kernel.process(p);
-    ProcessStall stall;
-    stall.name = proc.name;
-    stall.ready =
-        proc.cycles_in_status[static_cast<std::size_t>(Status::kReady)];
-    stall.computing =
-        proc.cycles_in_status[static_cast<std::size_t>(Status::kComputing)];
-    stall.waiting =
-        proc.cycles_in_status[static_cast<std::size_t>(Status::kWaiting)];
-    stall.transferring =
-        proc.cycles_in_status[static_cast<std::size_t>(Status::kTransferring)];
-    report.processes.push_back(std::move(stall));
-  }
-  for (std::int32_t c = 0; c < kernel.num_channels(); ++c) {
-    const ChannelState& chan = kernel.channel(c);
-    ChannelStall stall;
-    stall.name = chan.name;
-    stall.transfers = chan.transfers_completed;
-    stall.blocked_puts = chan.blocked_puts;
-    stall.blocked_gets = chan.blocked_gets;
-    stall.put_wait_cycles = chan.producer_stall_cycles;
-    stall.get_wait_cycles = chan.consumer_stall_cycles;
-    stall.peak_occupancy = chan.peak_occupancy;
-    stall.put_wait = chan.put_wait;
-    stall.get_wait = chan.get_wait;
-    report.channels.push_back(std::move(stall));
-  }
-  return report;
-}
-
 std::string StallReport::to_text(int indent) const {
   util::Table procs({"process", "ready", "computing", "waiting",
                      "transferring", "waiting %"});

@@ -1,7 +1,7 @@
 #pragma once
 // Stall-accounting report for simulation runs.
 //
-// Turns the kernel's per-process status-time split and per-channel wait
+// Turns a run's per-process status-time split and per-channel wait
 // statistics into the same kind of aligned tables the analysis module
 // prints. This is the dynamic counterpart of the TMG critical cycle: the
 // channels with the largest blocked-put/blocked-get times are exactly where
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/kernel.h"
 
 namespace ermes::sim {
 
@@ -50,9 +49,5 @@ struct StallReport {
   /// per-channel blocking statistics, worst waiters first.
   std::string to_text(int indent = 0) const;
 };
-
-/// Snapshots the kernel's cumulative stall statistics. Call after run()
-/// (which closes the open status intervals).
-StallReport collect_stalls(const Kernel& kernel);
 
 }  // namespace ermes::sim

@@ -1,100 +1,35 @@
 #include "sim/system_sim.h"
 
-#include <cassert>
-#include <limits>
-
 #include "obs/metrics.h"
+#include "obs/span.h"
+#include "sim/compiled.h"
 
 namespace ermes::sim {
 
-using sysmodel::ChannelId;
-using sysmodel::ProcessId;
-using sysmodel::SystemModel;
+SystemSimResult simulate_system(const sysmodel::SystemModel& sys,
+                                std::int64_t items,
+                                sysmodel::ChannelId observe) {
+  obs::ObsSpan span("sim.run", "sim");
+  const CompiledSim compiled(sys);
+  CompiledSim::Instance instance(compiled);
+  BatchOptions opts;
+  opts.observe = observe;  // kInvalidChannel (-1) = the compiled default
+  opts.target_transfers = items;
+  const ScenarioResult run = instance.run({}, opts);
 
-namespace {
-
-Program program_for(const SystemModel& sys, ProcessId p) {
-  std::vector<SimChannelId> gets(sys.input_order(p).begin(),
-                                 sys.input_order(p).end());
-  std::vector<SimChannelId> puts(sys.output_order(p).begin(),
-                                 sys.output_order(p).end());
-  if (gets.empty() && !puts.empty()) {
-    // Source testbench: ready to produce at time 0; computation of the next
-    // item overlaps the loop tail (paper: "an environment that is always
-    // ready to provide new input data").
-    Program program;
-    for (SimChannelId c : puts) program.push_back(Statement::put(c));
-    program.push_back(Statement::compute(sys.latency(p)));
-    return program;
-  }
-  if (sys.primed(p) && !puts.empty()) {
-    // Primed process: emits its initial/default outputs before the first
-    // read (the ring token sits on the first put-place).
-    Program program;
-    for (SimChannelId c : puts) program.push_back(Statement::put(c));
-    for (SimChannelId c : gets) program.push_back(Statement::get(c));
-    program.push_back(Statement::compute(sys.latency(p)));
-    return program;
-  }
-  return make_three_phase_program(gets, sys.latency(p), puts);
-}
-
-}  // namespace
-
-Kernel build_kernel(const SystemModel& sys) {
-  return build_kernel(sys, {});
-}
-
-Kernel build_kernel(const SystemModel& sys,
-                    std::vector<std::unique_ptr<Behavior>> behaviors) {
-  Kernel kernel;
-  for (ProcessId p = 0; p < sys.num_processes(); ++p) {
-    std::unique_ptr<Behavior> behavior;
-    if (static_cast<std::size_t>(p) < behaviors.size()) {
-      behavior = std::move(behaviors[static_cast<std::size_t>(p)]);
-    }
-    [[maybe_unused]] const SimProcessId sp = kernel.add_process(
-        sys.process_name(p), program_for(sys, p), std::move(behavior));
-    assert(sp == p);
-  }
-  for (ChannelId c = 0; c < sys.num_channels(); ++c) {
-    // An unbounded channel simulates as a FIFO whose slot check never fails;
-    // the deque only ever holds actually-buffered items.
-    std::int64_t capacity = sys.channel_capacity(c);
-    if (capacity == sysmodel::kUnboundedCapacity) {
-      capacity = std::numeric_limits<std::int64_t>::max();
-    }
-    [[maybe_unused]] const SimChannelId sc =
-        kernel.add_channel(sys.channel_name(c), sys.channel_source(c),
-                           sys.channel_target(c), sys.channel_latency(c),
-                           capacity);
-    assert(sc == c);
-  }
-  return kernel;
-}
-
-SystemSimResult simulate_system(const SystemModel& sys, std::int64_t items,
-                                ChannelId observe) {
-  if (observe == sysmodel::kInvalidChannel) {
-    const std::vector<ProcessId> sinks = sys.sinks();
-    if (!sinks.empty() && !sys.input_order(sinks.front()).empty()) {
-      observe = sys.input_order(sinks.front()).front();
-    } else if (sys.num_channels() > 0) {
-      observe = 0;
-    }
-  }
-  Kernel kernel = build_kernel(sys);
-  const RunResult run = kernel.run(observe, items);
   SystemSimResult result;
-  result.deadlocked = run.deadlock.deadlocked;
-  result.deadlock = run.deadlock;
+  result.deadlocked = run.deadlocked;
+  result.deadlock.deadlocked = run.deadlocked;
+  result.deadlock.at_cycle = run.deadlock_at;
+  result.deadlock.processes = run.deadlock_processes;
+  result.deadlock.channels = run.deadlock_channels;
   result.measured_cycle_time = run.measured_cycle_time;
   result.throughput = run.throughput;
   result.cycles = run.cycles;
   result.items = run.observed_count;
   if (obs::enabled()) {
-    result.stalls = collect_stalls(kernel);
-    kernel.publish_metrics();
+    result.stalls = to_stall_report(sys, run);
+    publish_metrics(sys, run);
   }
   return result;
 }

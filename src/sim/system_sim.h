@@ -1,30 +1,30 @@
 #pragma once
-// Bridge between the analytic SystemModel and the simulation kernel.
+// One-call simulation of a SystemModel.
 //
-// Builds a Kernel whose process/channel ids coincide with the model's, with
-// each process running the canonical three-phase program implied by its I/O
-// orders (sources run puts-then-compute so they are ready to produce at
-// time 0, matching the TMG initial marking). simulate_system() measures the
+// simulate_system() compiles the model (sim::CompiledSim) and runs it until
+// `items` transfers complete on the observed channel, measuring the
 // steady-state cycle time empirically — the number the TMG model predicts
-// as pi(G).
+// as pi(G). Each process runs the program its I/O orders imply (sources run
+// puts-then-compute so they are ready to produce at time 0, matching the
+// TMG initial marking; see compiled.cpp).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "sim/kernel.h"
+#include "sim/observer.h"
 #include "sim/stall_report.h"
 #include "sysmodel/system.h"
 
 namespace ermes::sim {
 
-/// Builds the kernel (no behaviors attached). Ids map 1:1.
-Kernel build_kernel(const sysmodel::SystemModel& sys);
-
-/// Builds the kernel with caller-provided behaviors (index = ProcessId;
-/// null entries get pure-timing processes).
-Kernel build_kernel(const sysmodel::SystemModel& sys,
-                    std::vector<std::unique_ptr<Behavior>> behaviors);
+struct DeadlockInfo {
+  bool deadlocked = false;
+  std::int64_t at_cycle = 0;
+  /// Circular wait: process i is blocked on channel i, whose peer is
+  /// process i+1 (cyclically). Only filled when a cycle exists.
+  std::vector<SimProcessId> processes;
+  std::vector<SimChannelId> channels;
+};
 
 struct SystemSimResult {
   bool deadlocked = false;
@@ -33,15 +33,17 @@ struct SystemSimResult {
   double throughput = 0.0;
   std::int64_t cycles = 0;
   std::int64_t items = 0;
-  /// Per-process / per-channel stall accounting. Collected (and the kernel
-  /// statistics published to the telemetry registry under "sim.") only when
-  /// obs::enabled(); empty otherwise.
+  /// Per-process / per-channel stall accounting. Collected (and the run's
+  /// statistics published to the telemetry registry under "sim.", see
+  /// sim::publish_metrics) only when obs::enabled(); empty otherwise.
   StallReport stalls;
 };
 
 /// Simulates until `items` transfers complete on `observe` (default: the
-/// first input channel of the first sink process). Suitable `items` for a
-/// stable measurement: a few hundred.
+/// first input channel of the first sink process, see
+/// default_observe_channel), under the model-derived cycle limit
+/// (default_cycle_limit). Suitable `items` for a stable measurement: a few
+/// hundred.
 SystemSimResult simulate_system(const sysmodel::SystemModel& sys,
                                 std::int64_t items = 200,
                                 sysmodel::ChannelId observe =

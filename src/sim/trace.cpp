@@ -30,14 +30,42 @@ std::string bits(std::int32_t value, int width) {
 
 }  // namespace
 
-Tracer::Tracer(Kernel& kernel) : kernel_(kernel) {
-  kernel_.set_trace_hook(
-      [this](const TraceEvent& event) { events_.push_back(event); });
+Tracer::Tracer(const sysmodel::SystemModel& sys,
+               CompiledSim::Instance& instance)
+    : instance_(instance) {
+  for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+    process_names_.push_back(sys.process_name(p));
+  }
+  for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
+    channel_names_.push_back(sys.channel_name(c));
+  }
+  instance_.set_observer(this);
 }
 
-Tracer::~Tracer() { kernel_.set_trace_hook(nullptr); }
+Tracer::~Tracer() {
+  if (instance_.observer() == this) instance_.set_observer(nullptr);
+}
+
+void Tracer::on_status(std::int64_t time, SimProcessId p,
+                       ProcessStatus status) {
+  events_.push_back({time, TraceEvent::Kind::kProcessState, p,
+                     static_cast<std::int32_t>(status)});
+}
+
+void Tracer::on_occupancy(std::int64_t time, SimChannelId c,
+                          std::int64_t level) {
+  events_.push_back({time, TraceEvent::Kind::kChannelOccupancy, c,
+                     static_cast<std::int32_t>(level)});
+}
 
 std::string Tracer::to_vcd(const std::string& timescale) const {
+  return render_vcd(events_, process_names_, channel_names_, timescale);
+}
+
+std::string render_vcd(const std::vector<TraceEvent>& events,
+                       const std::vector<std::string>& process_names,
+                       const std::vector<std::string>& channel_names,
+                       const std::string& timescale) {
   std::ostringstream out;
   out << "$date ERMES simulation $end\n";
   out << "$version ermes::sim::Tracer $end\n";
@@ -45,14 +73,15 @@ std::string Tracer::to_vcd(const std::string& timescale) const {
 
   // Declarations: processes then channels, each with a stable id code.
   out << "$scope module system $end\n";
-  const int n_procs = kernel_.num_processes();
+  const int n_procs = static_cast<int>(process_names.size());
+  const int n_chans = static_cast<int>(channel_names.size());
   for (SimProcessId p = 0; p < n_procs; ++p) {
     out << "$var wire 2 " << vcd_id(p) << " proc_"
-        << kernel_.process(p).name << " $end\n";
+        << process_names[static_cast<std::size_t>(p)] << " $end\n";
   }
-  for (SimChannelId c = 0; c < kernel_.num_channels(); ++c) {
+  for (SimChannelId c = 0; c < n_chans; ++c) {
     out << "$var wire 8 " << vcd_id(n_procs + c) << " chan_"
-        << kernel_.channel(c).name << " $end\n";
+        << channel_names[static_cast<std::size_t>(c)] << " $end\n";
   }
   out << "$upscope $end\n$enddefinitions $end\n";
 
@@ -61,7 +90,7 @@ std::string Tracer::to_vcd(const std::string& timescale) const {
   for (SimProcessId p = 0; p < n_procs; ++p) {
     out << "b00 " << vcd_id(p) << "\n";
   }
-  for (SimChannelId c = 0; c < kernel_.num_channels(); ++c) {
+  for (SimChannelId c = 0; c < n_chans; ++c) {
     out << "b00000000 " << vcd_id(n_procs + c) << "\n";
   }
   out << "$end\n";
@@ -75,7 +104,7 @@ std::string Tracer::to_vcd(const std::string& timescale) const {
     }
     pending.clear();
   };
-  for (const TraceEvent& event : events_) {
+  for (const TraceEvent& event : events) {
     if (event.time != current_time) {
       flush();
       current_time = event.time;

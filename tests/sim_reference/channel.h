@@ -1,5 +1,5 @@
 #pragma once
-// Blocking point-to-point channel state for the simulation kernel.
+// Blocking point-to-point channel state for the reference kernel.
 //
 // Protocol (matches the vendor blocking primitives described in Section 2):
 // a put and its matching get rendezvous — whichever side arrives first
@@ -11,7 +11,7 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "sim/process.h"
+#include "sim/behavior.h"
 
 namespace ermes::sim {
 

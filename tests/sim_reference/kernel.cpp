@@ -1,4 +1,4 @@
-#include "sim/kernel.h"
+#include "sim_reference/kernel.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,13 +1,19 @@
 #pragma once
-// Cycle-accurate discrete-event kernel for communication-centric systems.
+// Reference event-heap simulation kernel: a test-and-bench-only oracle.
 //
-// ERMES' stand-in for a SystemC simulator with an HLS interface library:
-// processes execute their programs (infinite loops of get/compute/put),
-// channels implement the blocking rendezvous protocol with a per-channel
-// transfer latency. The kernel detects deadlock (all processes suspended,
-// no event pending) and reports the circular wait; it also collects stall
-// statistics and per-channel throughput — the observable the TMG model
-// predicts analytically.
+// The engine the product simulated on before sim::CompiledSim (src/sim)
+// replaced it, kept as an independent implementation to check the compiled
+// engine against. Processes execute hand-written programs (infinite loops
+// of get/compute/put), channels implement the blocking rendezvous protocol
+// (or a FIFO) with a per-channel transfer latency, and every piece of state
+// — names, payload deques, behaviours, the trace hook — lives in one
+// record per process or channel, with one binary heap of events. It shares
+// no event-loop code with the compiled engine; the differential suites and
+// bench_sim hold the two bit-identical (tests/sim_reference/bridge.h).
+//
+// The kernel detects deadlock (all processes suspended, no event pending)
+// and reports the circular wait; it also collects stall statistics and
+// per-channel throughput.
 
 #include <array>
 #include <cstdint>
@@ -17,9 +23,11 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/channel.h"
-#include "sim/process.h"
-#include "sim/program.h"
+#include "sim/behavior.h"
+#include "sim/system_sim.h"
+#include "sim/trace.h"
+#include "sim_reference/channel.h"
+#include "sim_reference/program.h"
 
 namespace ermes::sim {
 
@@ -50,25 +58,6 @@ struct ProcessState {
   /// always sum to the simulated time span of the runs so far.
   std::array<std::int64_t, 4> cycles_in_status{};
   std::int64_t status_since = 0;  // when the current status was entered
-};
-
-struct DeadlockInfo {
-  bool deadlocked = false;
-  std::int64_t at_cycle = 0;
-  /// Circular wait: process i is blocked on channel i, whose peer is
-  /// process i+1 (cyclically). Only filled when a cycle exists.
-  std::vector<SimProcessId> processes;
-  std::vector<SimChannelId> channels;
-};
-
-/// A state change reported to the trace hook (see sim/trace.h for the VCD
-/// front end).
-struct TraceEvent {
-  std::int64_t time = 0;
-  enum class Kind { kProcessState, kChannelOccupancy } kind =
-      Kind::kProcessState;
-  std::int32_t index = 0;  // process or channel id
-  std::int32_t value = 0;  // ProcessState::Status as int, or buffer level
 };
 
 struct RunResult {
@@ -116,7 +105,8 @@ class Kernel {
   void reset();
 
   /// Installs a state-change hook (nullptr to remove). Called synchronously
-  /// on every process-status / channel-occupancy change.
+  /// on every process-status / channel-occupancy change; sim::render_vcd
+  /// renders the collected events.
   void set_trace_hook(std::function<void(const TraceEvent&)> hook) {
     trace_hook_ = std::move(hook);
   }

@@ -1,4 +1,4 @@
-#include "sim/program.h"
+#include "sim_reference/program.h"
 
 #include <sstream>
 

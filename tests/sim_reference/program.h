@@ -1,5 +1,5 @@
 #pragma once
-// Process programs for the simulation kernel.
+// Process programs for the reference kernel.
 //
 // A program is the body of the process' infinite loop, as in Listing 1 of
 // the paper: a sequence of blocking gets, computation, and blocking puts.
@@ -11,12 +11,9 @@
 #include <string>
 #include <vector>
 
-namespace ermes::sim {
+#include "sim/observer.h"
 
-/// Index of a channel in the simulated system (same id space as
-/// sysmodel::ChannelId when the simulation is built from a SystemModel).
-using SimChannelId = std::int32_t;
-using SimProcessId = std::int32_t;
+namespace ermes::sim {
 
 struct Statement {
   enum class Kind { kGet, kPut, kCompute };

@@ -180,6 +180,39 @@ TEST(CliExitCodes, SimulateDeadlockIsAnalysisFailure) {
   std::remove(dead.c_str());
 }
 
+TEST(CliExitCodes, SimulateWarnsWhenTheCycleLimitStopsTheRun) {
+  // The observed channel (t's input) hangs off a deadlocked pair while an
+  // independent source/sink pair keeps the event queue busy, so the run
+  // ends at the cycle limit: max(1e8, 11 x latency sum) = 1e8 here.
+  const std::string stuck = ::testing::TempDir() + "/ermes_cli_simstuck.soc";
+  std::ofstream(stuck) << "system stuck\n"
+                          "process a latency 1\n"
+                          "process b latency 1\n"
+                          "process t latency 1\n"
+                          "process x latency 1000000\n"
+                          "process y latency 1000000\n"
+                          "channel ab a -> b latency 1\n"
+                          "channel ba b -> a latency 1\n"
+                          "channel bt b -> t latency 1\n"
+                          "channel xy x -> y latency 1000000\n";
+  const RunResult text = run_cli("simulate " + stuck + " 10");
+  EXPECT_EQ(text.exit_code, 0);
+  EXPECT_NE(text.out.find("0 items in "), std::string::npos) << text.out;
+  EXPECT_EQ(std::count(text.err.begin(), text.err.end(), '\n'), 1)
+      << text.err;
+  EXPECT_EQ(text.err.rfind("warning: ", 0), 0u) << text.err;
+  EXPECT_NE(text.err.find("cycle limit (100000000 cycles)"), std::string::npos)
+      << text.err;
+
+  // --json already carries the flag and stays silent on stderr.
+  const RunResult json = run_cli("simulate " + stuck + " 10 --json");
+  EXPECT_EQ(json.exit_code, 0);
+  EXPECT_TRUE(json.err.empty()) << json.err;
+  EXPECT_NE(json.out.find("\"hit_cycle_limit\":true"), std::string::npos)
+      << json.out;
+  std::remove(stuck.c_str());
+}
+
 TEST(CliExitCodes, SimulateBadItemCountIsUsage) {
   const RunResult result = run_cli("simulate " + demo_path() + " ten");
   EXPECT_EQ(result.exit_code, 2);

@@ -1,6 +1,7 @@
 // Non-blocking (FIFO) channel extension: TMG model (split write/read
-// transitions with data/space places), kernel semantics, model-vs-sim
-// agreement, and analytic buffer sizing.
+// transitions with data/space places), simulation semantics (hand-written
+// programs on the reference kernel, payloads on the compiled engine),
+// model-vs-sim agreement, and analytic buffer sizing.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,10 @@
 #include "analysis/performance.h"
 #include "analysis/tmg_builder.h"
 #include "ordering/channel_ordering.h"
+#include "sim/behavior.h"
+#include "sim/compiled.h"
 #include "sim/system_sim.h"
+#include "sim_reference/bridge.h"
 #include "synth/generator.h"
 #include "sysmodel/builder.h"
 #include "util/rng.h"
@@ -149,20 +153,32 @@ TEST(FifoKernelTest, DataIntegrityThroughFifo) {
     }
     std::vector<std::int64_t> received;
   };
-  sim::Kernel kernel;
+  // prod (no compute) -> cons (7 cycles) over a 3-slot FIFO of latency 2:
+  // the producer runs ahead, so items wait in the buffer, in order.
+  SystemModel sys;
+  const ProcessId prod = sys.add_process("prod", 0);
+  const ProcessId cons = sys.add_process("cons", 7);
+  const ChannelId c = sys.add_channel("c", prod, cons, 2);
+  sys.set_channel_capacity(c, 3);
+  std::vector<std::unique_ptr<sim::Behavior>> behaviors(2);
+  behaviors[static_cast<std::size_t>(prod)] = std::make_unique<Producer>();
   auto consumer = std::make_unique<Consumer>();
   Consumer* consumer_ptr = consumer.get();
-  const auto prod = kernel.add_process("prod",
-                                       sim::Program{sim::Statement::put(0)},
-                                       std::make_unique<Producer>());
-  const auto cons = kernel.add_process(
-      "cons",
-      sim::Program{sim::Statement::get(0), sim::Statement::compute(7)},
-      std::move(consumer));
-  kernel.add_channel("c", prod, cons, 2, 3);
-  kernel.run(0, 8);
+  behaviors[static_cast<std::size_t>(cons)] = std::move(consumer);
+
+  const sim::CompiledSim compiled(sys);
+  sim::CompiledSim::Instance instance(compiled);
+  sim::BehaviorObserver observer(sys, std::move(behaviors));
+  instance.set_observer(&observer);
+  sim::BatchOptions opts;
+  opts.observe = c;
+  opts.target_transfers = 8;
+  const sim::ScenarioResult run = instance.run({}, opts);
   EXPECT_EQ(consumer_ptr->received,
             (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(run.channels[0].peak_occupancy, 3);  // the buffer did fill
+  EXPECT_TRUE(
+      sim::results_bit_identical(run, sim::run_legacy_kernel(sys, {}, opts)));
 }
 
 TEST(FifoKernelTest, FullBufferBlocksProducerDeadlockDetected) {

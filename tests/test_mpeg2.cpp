@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "analysis/performance.h"
 #include "apps/mpeg2/characterization.h"
@@ -17,6 +19,8 @@
 #include "apps/mpeg2/kernels/zigzag.h"
 #include "apps/mpeg2/topology.h"
 #include "graph/traversal.h"
+#include "sim/compiled.h"
+#include "sim_reference/bridge.h"
 #include "sysmodel/validate.h"
 #include "util/rng.h"
 
@@ -451,6 +455,49 @@ TEST(PipelineTest, IntraMatrixTradesBitsForQuality) {
   EXPECT_LT(intra.total_bits, flat.total_bits);
   EXPECT_LE(intra.psnr_db, flat.psnr_db + 1e-9);
   EXPECT_GT(intra.psnr_db, 25.0);
+}
+
+// The pipeline's behaviours ride on the compiled engine through one
+// observer; on the reference kernel (tests/sim_reference) they are called
+// straight from its event loop. Both runs must agree field for field.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(PipelineTest, MatchesTheReferenceKernelFieldForField) {
+  std::vector<PipelineConfig> configs(4);
+  for (PipelineConfig& config : configs) {
+    config.width = 32;
+    config.height = 16;
+    config.frames = 3;
+  }
+  configs[0].reorder_channels = false;  // plain
+  configs[2].fifo_capacity = 2;         // FIFO
+  configs[3].intra_matrix = true;       // intra matrix
+  configs[3].qscale = 2;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const PipelineResult compiled = run_functional_pipeline(configs[i]);
+
+    PipelineSetup setup = make_functional_pipeline(configs[i]);
+    sim::Kernel kernel =
+        sim::build_kernel(setup.sys, std::move(setup.behaviors));
+    const sim::RunResult reference = kernel.run(
+        setup.observe, setup.blocks,
+        sim::default_cycle_limit(setup.sys, setup.blocks));
+
+    ASSERT_FALSE(compiled.deadlocked) << "config " << i;
+    EXPECT_EQ(compiled.deadlocked, reference.deadlock.deadlocked);
+    EXPECT_EQ(compiled.blocks_encoded, reference.observed_count)
+        << "config " << i;
+    EXPECT_EQ(compiled.total_bits, setup.total_bits()) << "config " << i;
+    EXPECT_EQ(compiled.cycles, reference.cycles) << "config " << i;
+    EXPECT_TRUE(same_bits(compiled.psnr_db, setup.psnr_db()))
+        << "config " << i << ": " << compiled.psnr_db << " vs "
+        << setup.psnr_db();
+    EXPECT_TRUE(same_bits(compiled.measured_cycle_time,
+                          reference.measured_cycle_time))
+        << "config " << i;
+  }
 }
 
 }  // namespace

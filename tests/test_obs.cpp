@@ -1,7 +1,8 @@
 // Unit tests for the telemetry subsystem: instrument semantics, JSON
 // snapshot round-trip, trace spans (nesting + Chrome trace well-formedness),
-// registry reset, and the sim kernel's stall accounting checked against a
-// hand-computed rendezvous schedule.
+// registry reset, the reference sim kernel's stall accounting checked
+// against a hand-computed rendezvous schedule, and metrics parity between
+// sim::publish_metrics and the reference kernel's publisher.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +23,11 @@
 #include "obs/report.h"
 #include "obs/request_context.h"
 #include "obs/span.h"
-#include "sim/kernel.h"
+#include "sim/compiled.h"
 #include "sim/stall_report.h"
+#include "sim/system_sim.h"
+#include "sim_reference/bridge.h"
+#include "sysmodel/builder.h"
 #include "util/str_cat.h"
 #include "util/timer.h"
 
@@ -562,6 +566,60 @@ TEST(StallAccountingTest, PublishMetricsFillsSimPrefix) {
   EXPECT_EQ(reg.counter("simtest.process.p.compute_cycles").value(), 6);
   EXPECT_EQ(reg.counter("simtest.process.c.waiting_cycles").value(), 3);
   EXPECT_EQ(reg.histogram("simtest.channel.a.put_wait").count(), 2);
+}
+
+// simulate_system publishes through sim::publish_metrics. Against the
+// reference kernel's publisher on the same run, its metric names are a
+// superset (it adds peak-occupancy gauges), and every counter and histogram
+// the two share holds the same value.
+TEST(StallAccountingTest, PublishMetricsCoversTheReferencePublisher) {
+  EnabledGuard guard(true);
+  sysmodel::SystemModel fifo = sysmodel::make_dac14_motivating_example();
+  fifo.set_channel_capacity(fifo.find_channel("d"), 2);
+  fifo.set_channel_capacity(fifo.find_channel("g"), 1);
+  for (const sysmodel::SystemModel& sys :
+       {sysmodel::make_dac14_motivating_example(), fifo}) {
+    Registry& reg = Registry::global();
+    reg.reset();
+    constexpr std::int64_t kItems = 300;
+    const sim::SystemSimResult run = sim::simulate_system(sys, kItems);
+    ASSERT_EQ(run.items, kItems);
+    sim::Kernel kernel = sim::build_kernel(sys);
+    kernel.run(sim::default_observe_channel(sys), kItems,
+               sim::default_cycle_limit(sys, kItems));
+    kernel.publish_metrics("simref");
+
+    std::map<std::string, Registry::Entry> fresh, old;
+    for (Registry::Entry& entry : reg.entries()) {
+      if (entry.name.rfind("sim.", 0) == 0) {
+        fresh[entry.name.substr(4)] = entry;
+      } else if (entry.name.rfind("simref.", 0) == 0) {
+        old[entry.name.substr(7)] = entry;
+      }
+    }
+    ASSERT_FALSE(old.empty());
+    for (const auto& [name, entry] : old) {
+      const auto it = fresh.find(name);
+      ASSERT_NE(it, fresh.end()) << "sim." << name << " not published";
+      ASSERT_EQ(it->second.kind, entry.kind) << name;
+      EXPECT_EQ(it->second.value, entry.value) << name;
+      if (entry.kind == Registry::Entry::Kind::kHistogram) {
+        EXPECT_EQ(it->second.hist.count, entry.hist.count) << name;
+        EXPECT_EQ(it->second.hist.sum, entry.hist.sum) << name;
+        EXPECT_EQ(it->second.hist.min, entry.hist.min) << name;
+        EXPECT_EQ(it->second.hist.max, entry.hist.max) << name;
+        EXPECT_EQ(it->second.hist.buckets, entry.hist.buckets) << name;
+      }
+    }
+    // What the compiled publisher adds: peak-occupancy high-water gauges.
+    for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
+      const std::string name =
+          "channel." + sys.channel_name(c) + ".peak_occupancy";
+      ASSERT_TRUE(fresh.count(name)) << name;
+      EXPECT_EQ(fresh[name].value, kernel.channel(c).peak_occupancy) << name;
+    }
+    EXPECT_TRUE(fresh.count("peak_occupancy"));
+  }
 }
 
 // ---- quantile histogram ------------------------------------------------------

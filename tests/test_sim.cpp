@@ -1,13 +1,19 @@
-// Unit tests for the simulation kernel: rendezvous semantics, stall
-// accounting, deadlock detection, and agreement with the analytic model.
+// Unit tests for simulation semantics: rendezvous timing, stall accounting
+// and deadlock detection on hand-written programs (the reference kernel,
+// tests/sim_reference), and the SystemModel path (sim::simulate_system on
+// the compiled engine): payloads through behaviours, agreement with the
+// analytic model, and the model-derived cycle limit.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "analysis/performance.h"
-#include "sim/kernel.h"
+#include "sim/behavior.h"
+#include "sim/compiled.h"
 #include "sim/system_sim.h"
+#include "sim_reference/bridge.h"
 #include "sysmodel/builder.h"
 
 namespace ermes::sim {
@@ -111,7 +117,8 @@ TEST(KernelTest, DeadlockDetectedWithWaitCycle) {
 }
 
 TEST(KernelTest, DataFlowsThroughBehaviors) {
-  // Producer emits increasing integers; consumer records them.
+  // Producer emits increasing integers; consumer records them. prod -> cons
+  // over one rendezvous channel, both with zero compute latency.
   class Producer final : public Behavior {
    public:
     Packet on_put(SimChannelId) override { return Packet{{counter_++}}; }
@@ -125,18 +132,29 @@ TEST(KernelTest, DataFlowsThroughBehaviors) {
     }
     std::vector<std::int64_t> received;
   };
-  Kernel kernel;
+  sysmodel::SystemModel sys;
+  const sysmodel::ProcessId prod = sys.add_process("prod", 0);
+  const sysmodel::ProcessId cons = sys.add_process("cons", 0);
+  const sysmodel::ChannelId c = sys.add_channel("c", prod, cons, 1);
+  std::vector<std::unique_ptr<Behavior>> behaviors(2);
+  behaviors[static_cast<std::size_t>(prod)] = std::make_unique<Producer>();
   auto consumer = std::make_unique<Consumer>();
   Consumer* consumer_ptr = consumer.get();
-  const SimProcessId prod =
-      kernel.add_process("prod", Program{Statement::put(0)},
-                         std::make_unique<Producer>());
-  const SimProcessId cons = kernel.add_process(
-      "cons", Program{Statement::get(0)}, std::move(consumer));
-  kernel.add_channel("c", prod, cons, 1);
-  kernel.run(0, 5);
+  behaviors[static_cast<std::size_t>(cons)] = std::move(consumer);
+
+  const CompiledSim compiled(sys);
+  CompiledSim::Instance instance(compiled);
+  BehaviorObserver observer(sys, std::move(behaviors));
+  instance.set_observer(&observer);
+  BatchOptions opts;
+  opts.observe = c;
+  opts.target_transfers = 5;
+  const ScenarioResult run = instance.run({}, opts);
+  EXPECT_EQ(run.observed_count, 5);
   EXPECT_EQ(consumer_ptr->received,
             (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  // The observer leaves the timing untouched.
+  EXPECT_TRUE(results_bit_identical(run, run_legacy_kernel(sys, {}, opts)));
 }
 
 TEST(KernelTest, OnResetCalledOnce) {
@@ -190,6 +208,42 @@ TEST(SystemSimTest, DeadlockInfoSurvivesBridge) {
   const SystemSimResult sim = simulate_system(sys, 10);
   ASSERT_TRUE(sim.deadlocked);
   EXPECT_FALSE(sim.deadlock.processes.empty());
+}
+
+// The default cycle limit scales with the model: every latency of the
+// motivating example x k must simulate to exactly k x the x1 run (200 items
+// in 2407 cycles at 12 cycles per item), far past the old fixed 1e8 limit.
+// Exact values, not analysis: the simulation is the oracle here.
+TEST(SystemSimTest, ScaledLatenciesFinishUnderTheDerivedCycleLimit) {
+  for (const std::int64_t k :
+       {std::int64_t{1}, std::int64_t{1'000'000}, std::int64_t{10'000'000}}) {
+    sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
+    for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+      sys.set_latency(p, sys.latency(p) * k);
+    }
+    for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
+      sys.set_channel_latency(c, sys.channel_latency(c) * k);
+    }
+    const SystemSimResult sim = simulate_system(sys, 200);
+    EXPECT_FALSE(sim.deadlocked) << "k " << k;
+    EXPECT_EQ(sim.items, 200) << "k " << k;
+    EXPECT_EQ(sim.cycles, 2407 * k) << "k " << k;
+    EXPECT_EQ(sim.measured_cycle_time, static_cast<double>(12 * k))
+        << "k " << k;
+  }
+}
+
+TEST(SystemSimTest, CycleLimitIsDerivedAndSaturates) {
+  // Small models keep the old 1e8 floor; large ones get (items + 1) x the
+  // latency sum, saturating instead of overflowing.
+  EXPECT_EQ(cycle_limit(27, 200), 100'000'000);
+  EXPECT_EQ(cycle_limit(270'000'000, 200), 201 * 270'000'000LL);
+  EXPECT_EQ(cycle_limit(std::int64_t{1} << 62, 200),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(cycle_limit(5, -3), 100'000'000);
+  const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
+  EXPECT_EQ(default_cycle_limit(sys, 200), 100'000'000);  // sum 27
+  EXPECT_EQ(default_cycle_limit(sys, 10'000'000), 27 * 10'000'001LL);
 }
 
 TEST(SystemSimTest, PrimedProcessStartsWithPut) {

@@ -1,6 +1,7 @@
 // Randomized differential testing of the compiled batch simulator.
 //
-// The legacy event-heap Kernel is the oracle; sim::CompiledSim must be
+// The event-heap reference Kernel (tests/sim_reference, the engine the
+// product ran before CompiledSim) is the oracle; sim::CompiledSim must be
 // bit-identical to it, step for step, on every instance:
 //
 //  S1. Random strongly connected systems (a process ring with a primed
@@ -44,7 +45,7 @@
 #include "obs/metrics.h"
 #include "sim/compiled.h"
 #include "sim/event_queue.h"
-#include "sim/system_sim.h"
+#include "sim_reference/bridge.h"
 #include "sim/wait_histogram.h"
 #include "synth/generator.h"
 #include "sysmodel/system.h"

@@ -64,7 +64,6 @@
 #include "ordering/channel_ordering.h"
 #include "ordering/local_search.h"
 #include "sim/compiled.h"
-#include "sim/system_sim.h"
 #include "svc/json.h"
 #include "svc/client.h"
 #include "svc/protocol.h"
@@ -387,12 +386,14 @@ int cmd_order(const char* path, const char* out_path) {
   return kExitOk;
 }
 
-// Runs through the compiled engine (sim::CompiledSim is bit-identical to
-// the legacy Kernel — the differential suite holds it to that — and skips
-// the per-run build_kernel); the text output shape is unchanged. --json
-// swaps the human lines for one machine-readable object (result + stall
-// summary) with the same exit-code and stderr contract: a deadlock still
-// prints exactly one `error:` line and exits 4.
+// Runs the model on sim::CompiledSim under the model-derived cycle limit
+// (sim::default_cycle_limit, the engine's default made explicit so the
+// warning below can name it). --json swaps the human lines for one
+// machine-readable object (result + stall summary) with the same exit-code
+// and stderr contract: a deadlock still prints exactly one `error:` line and
+// exits 4. A run stopped by the cycle limit keeps its stdout and exit code;
+// text mode adds one `warning:` line on stderr naming the limit (--json
+// carries hit_cycle_limit).
 int cmd_simulate(const char* path, std::int64_t items, bool json) {
   io::ParseResult parsed;
   if (!load(path, parsed)) return kExitParse;
@@ -400,6 +401,7 @@ int cmd_simulate(const char* path, std::int64_t items, bool json) {
   sim::CompiledSim::Instance instance(compiled);
   sim::BatchOptions opts;
   opts.target_transfers = items;
+  opts.max_cycles = sim::default_cycle_limit(parsed.system, items);
   const sim::ScenarioResult result = instance.run({}, opts);
   if (obs::enabled()) sim::publish_metrics(parsed.system, result);
 
@@ -462,6 +464,14 @@ int cmd_simulate(const char* path, std::int64_t items, bool json) {
               static_cast<long long>(result.cycles),
               util::format_double(result.measured_cycle_time).c_str(),
               util::format_double(result.throughput, 6).c_str());
+  if (result.hit_cycle_limit) {
+    std::fprintf(stderr,
+                 "warning: simulation stopped at the cycle limit (%lld "
+                 "cycles) after %lld of %lld items\n",
+                 static_cast<long long>(opts.max_cycles),
+                 static_cast<long long>(result.observed_count),
+                 static_cast<long long>(items));
+  }
   if (obs::enabled()) {
     std::printf("\n%s",
                 sim::to_stall_report(parsed.system, result).to_text(0).c_str());
